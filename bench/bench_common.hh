@@ -54,15 +54,14 @@ namespace specslice::bench
  *   4 — optional per-run "fast_forwarded"/"sampled_regions" fields on
  *       sampled runs (additive; absent means a full run)
  *   5 — wall-clock fields ("wall_seconds"/"sim_insts_per_sec") become
- *       omittable (--no-wall, sweep-service documents); optional
- *       "cached" marker on served results (additive)
- *   6 — trace-driven runs: job specs accept "trace_file" (serve
- *       requests, specslice_run --trace-file) and specslice_replay
- *       emits per-trace replay documents/BENCH_replay.json stamped
- *       with this version
+ *       omittable (--no-wall); optional "cached" marker (additive;
+ *       no longer emitted)
+ *   6 — trace-driven runs: specslice_run --trace-file, and
+ *       specslice_replay emits per-trace replay documents/
+ *       BENCH_replay.json stamped with this version
  *
- * The constant itself lives in sim/result_json.hh so the sweep
- * service stamps the same version.
+ * The constant itself lives in sim/result_json.hh so specslice_run
+ * --json stamps the same version.
  */
 constexpr std::uint64_t benchSchemaVersion = sim::resultSchemaVersion;
 
@@ -206,8 +205,9 @@ jobsOption(int argc, char **argv)
  * Parse a `--cache DIR` / `--cache=DIR` option (any position), falling
  * back to the SS_CACHE_DIR environment variable. Returns the opened
  * content-addressed result store, or nullptr when neither source names
- * a directory. Point it at the sweep service's store (.sscache by
- * convention) and a bench rerun serves every unchanged cell from disk.
+ * a directory. Point it at a shared store (.sscache by convention, as
+ * specslice_verify --serve uses) and a bench rerun serves every
+ * unchanged cell from disk.
  */
 inline std::unique_ptr<sim::ResultCache>
 openCacheOption(int argc, char **argv)
@@ -289,8 +289,8 @@ limitOpts(const sim::Workload &wl)
 // Machine-readable output (BENCH_<name>.json, specslice_run --json)
 // ---------------------------------------------------------------
 //
-// The JSON builders and the per-workload record moved to
-// common/jsonio.hh and sim/result_json.hh so the sweep service and the
+// The JSON builders and the per-workload record live in
+// common/jsonio.hh and sim/result_json.hh so specslice_run and the
 // result cache emit byte-identical documents; re-exported here so the
 // bench binaries compile unchanged.
 

@@ -277,10 +277,9 @@ struct RunResult
     unsigned sampledRegions = 0;
 
     // Observability-only wall-clock phase breakdown and trace
-    // bookkeeping. NEVER serialized into result documents (served
-    // docs must stay byte-identical to `specslice_run --json
-    // --no-wall` and deterministic); the sweep service feeds them
-    // into its latency histograms.
+    // bookkeeping. NEVER serialized into result documents, which must
+    // stay deterministic (`specslice_run --json --no-wall`, result-
+    // cache payloads); specbench reads the phase times.
     /** Wall seconds spent fast-forwarding (sampled runs only). */
     double wallFastForwardSeconds = 0.0;
     /** Wall seconds from run start to the warm-up stats reset. */

@@ -36,18 +36,10 @@ constexpr SiteInfo site_table[] = {
      true},
     {Site::CheckStore, "check.store",
      "corrupt the Nth checked store value (requires @nN)", 0, true},
-    {Site::ServeWedge, "serve.wedge",
-     "wedge a service worker for ARG ms before a job "
-     "(default 60000)",
-     60000, false},
-    {Site::ServeCrash, "serve.crash",
-     "kill the service worker process mid-job", 0, false},
     {Site::CacheEnospc, "cache.enospc",
      "fail a result-cache store as if the disk were full", 0, false},
     {Site::CacheFlip, "cache.flip",
      "flip one payload bit on a result-cache read", 0, false},
-    {Site::SockDrop, "sock.drop",
-     "close a client connection mid-response", 0, false},
 };
 
 static_assert(sizeof(site_table) / sizeof(site_table[0]) == numSites,
@@ -211,16 +203,7 @@ siteName(Site site)
 bool
 isServiceSite(Site site)
 {
-    return site >= Site::ServeWedge && site < Site::NumSites;
-}
-
-bool
-FaultPlan::hasSimSites() const
-{
-    for (const FaultSpec &spec : specs)
-        if (!isServiceSite(spec.site))
-            return true;
-    return false;
+    return site >= Site::CacheEnospc && site < Site::NumSites;
 }
 
 bool
@@ -367,22 +350,10 @@ setServiceInjector(Injector *inj)
     g_service_injector = inj;
 }
 
-Injector *
-serviceInjector()
-{
-    return g_service_injector;
-}
-
 bool
 serviceFire(Site site)
 {
     return g_service_injector && g_service_injector->fire(site);
-}
-
-std::uint64_t
-serviceArg(Site site)
-{
-    return g_service_injector ? g_service_injector->arg(site) : 0;
 }
 
 } // namespace specslice::fault

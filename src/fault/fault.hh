@@ -32,17 +32,13 @@
  *                   (requires @nN; exercises the checker itself)
  *     check.store   corrupt the Nth checked store value (requires @nN)
  *
- * Service-level sites (fired by the sweep service's daemon/worker
- * processes, not by the simulator — see isServiceSite()):
+ * Service-level sites (fired by the host-side result cache, not by
+ * the simulator — see isServiceSite()):
  *
- *     serve.wedge   wedge a worker for `arg` ms before running a job
- *                   (default 60000; a request deadline ends it)
- *     serve.crash   kill the worker process mid-job (SIGKILL)
  *     cache.enospc  fail a result-cache store as if the disk were
  *                   full (the cache degrades to pass-through)
  *     cache.flip    flip one payload bit on a cache read (the entry
  *                   is checksum-rejected and quarantined)
- *     sock.drop     close a client connection mid-response
  *
  * Example: `mem.latency:+200@p0.01,slice.kill@n5`.
  *
@@ -80,11 +76,10 @@ enum class Site
     CorrDrop,
     CheckReg,
     CheckStore,
-    ServeWedge,
-    ServeCrash,
+    // The simulator sites above keep indices 0-6: the Injector seeds
+    // each site's RNG stream from its index.
     CacheEnospc,
     CacheFlip,
-    SockDrop,
     NumSites,
 };
 
@@ -94,11 +89,10 @@ constexpr std::size_t numSites =
 /** Spec-string name of a site ("mem.latency", ...). */
 const char *siteName(Site site);
 
-/** True for the serve/cache/sock sites that tap the sweep
- *  service's request path rather than the simulator core. They are
- *  inert inside a simulation (`specslice_run --inject` rejects them)
- *  and only fire when the daemon/worker processes consult the
- *  process-wide service injector below. */
+/** True for the cache.* sites that tap the result cache rather than
+ *  the simulator core. They are inert inside a simulation
+ *  (`specslice_run --inject` rejects them) and only fire when the
+ *  cache consults the process-wide service injector below. */
 bool isServiceSite(Site site);
 
 /** One parsed fault from the spec string. */
@@ -121,9 +115,6 @@ struct FaultPlan
     std::uint64_t seed = 0;
 
     bool empty() const { return specs.empty(); }
-
-    /** Does the plan name any simulator-core site? */
-    bool hasSimSites() const;
 
     /** Does the plan name any service-level site? */
     bool hasServiceSites() const;
@@ -215,23 +206,15 @@ class Injector
 
 /**
  * Install (or clear, with nullptr) the process-wide injector for
- * service-level sites. The sweep service's daemon installs one built
- * from its --inject/SS_INJECT plan; each forked worker installs its
- * own with a per-lane seed so firing patterns are deterministic per
- * process. Not thread-safe by design: install once at startup,
- * before the request loop (or worker job loop) begins.
+ * service-level sites; ResultCache consults it on every store and
+ * lookup. Not thread-safe by design: install before the cache is
+ * used, clear after.
  */
 void setServiceInjector(Injector *inj);
-
-/** The installed service injector, or nullptr. */
-Injector *serviceInjector();
 
 /** Convenience: fire `site` on the service injector if one is
  *  installed and armed there; false otherwise. */
 bool serviceFire(Site site);
-
-/** The site argument from the service injector (0 if none). */
-std::uint64_t serviceArg(Site site);
 
 } // namespace specslice::fault
 

@@ -80,17 +80,6 @@ struct TraceEvent
     Cycle dur = 1;          ///< span length (1 for point events)
 };
 
-/** Identity stamped onto writeChromeTrace output. Defaults preserve
- *  the classic single-process trace; the sweep service's workers set
- *  a per-worker pid lane and the request id they are serving, so a
- *  daemon-side merge keeps lanes and requests distinguishable. */
-struct ChromeTraceMeta
-{
-    unsigned pid = 0;
-    std::string processName = "specslice";
-    std::string requestId;  ///< "" = omit the "req" arg
-};
-
 class EventBuffer
 {
   public:
@@ -165,12 +154,6 @@ class EventBuffer
      * pc/seq/thread/arg ride along in "args".
      */
     void writeChromeTrace(std::ostream &os) const;
-
-    /** Same, stamped with an explicit process identity (worker lane
-     *  pid, process name) and, when set, a per-event request-id arg
-     *  for daemon-side cross-process merging. */
-    void writeChromeTrace(std::ostream &os,
-                          const ChromeTraceMeta &meta) const;
 
   private:
     TraceEvent &

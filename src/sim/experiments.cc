@@ -1,7 +1,5 @@
 #include "sim/experiments.hh"
 
-#include <limits>
-
 #include "common/jsonio.hh"
 #include "sim/result_cache.hh"
 #include "sim/result_json.hh"
@@ -10,18 +8,6 @@
 
 namespace specslice::sim
 {
-
-double
-speedupPct(const RunResult &base, const RunResult &other)
-{
-    // No cycles means no data, not zero speedup: return NaN and let
-    // Table::fmt print "n/a" (the StatGroup::ratio convention).
-    if (other.cycles == 0)
-        return std::numeric_limits<double>::quiet_NaN();
-    return 100.0 * (static_cast<double>(base.cycles) /
-                        static_cast<double>(other.cycles) -
-                    1.0);
-}
 
 RunResult
 cachedRun(const MachineConfig &machine, Simulator &simr,

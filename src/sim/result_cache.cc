@@ -237,26 +237,6 @@ ResultCache::ResultCache(std::string dir, std::uint64_t max_bytes)
     : dir_(std::move(dir)), maxBytes_(max_bytes)
 {
     makeDirs(dir_);
-    if (obs::MetricsRegistry *reg = obs::ambientMetrics()) {
-        mHits_ = reg->counter("ss_cache_hits_total",
-                              "Result-cache lookups served from disk");
-        mMisses_ = reg->counter("ss_cache_misses_total",
-                                "Result-cache lookups that missed");
-        mStores_ = reg->counter("ss_cache_stores_total",
-                                "Result-cache entries committed");
-        mEvictions_ =
-            reg->counter("ss_cache_evictions_total",
-                         "Result-cache entries evicted by LRU");
-        mRejected_ = reg->counter(
-            "ss_cache_rejected_total",
-            "Corrupt/truncated cache entries rejected on lookup");
-        mQuarantined_ = reg->counter(
-            "ss_cache_quarantined_total",
-            "Corrupt cache entries moved to <dir>/quarantine/");
-        mPassthrough_ = reg->counter(
-            "ss_cache_passthrough_total",
-            "Cache stores skipped in degraded pass-through mode");
-    }
 }
 
 std::string
@@ -283,7 +263,6 @@ ResultCache::quarantineEntry(const std::string &path,
     if (!moved)
         ::unlink(path.c_str());
     ++stats_.quarantined;
-    mQuarantined_.inc();
 }
 
 bool
@@ -312,7 +291,6 @@ ResultCache::lookup(const std::string &key)
     const std::string path = entryPath(key);
     if (::access(path.c_str(), F_OK) != 0) {
         ++stats_.misses;
-        mMisses_.inc();
         return std::nullopt;
     }
 
@@ -320,14 +298,11 @@ ResultCache::lookup(const std::string &key)
     if (!readEntry(path, key, payload, /*flip_tap=*/true)) {
         ++stats_.rejected;
         ++stats_.misses;
-        mRejected_.inc();
-        mMisses_.inc();
         quarantineEntry(path, key);
         return std::nullopt;
     }
 
     ++stats_.hits;
-    mHits_.inc();
     std::string err;
     withIndex([&](CacheIndex &idx) { idx.touch(key); }, err);
     return payload;
@@ -340,14 +315,12 @@ ResultCache::store(const std::string &key, const std::string &payload,
     std::lock_guard<std::mutex> guard(mu_);
     if (degraded_) {
         ++stats_.passthrough;
-        mPassthrough_.inc();
         return true;
     }
     if (fault::serviceFire(fault::Site::CacheEnospc)) {
         // Injected disk-full: degrade exactly as a real ENOSPC would.
         degraded_ = true;
         ++stats_.passthrough;
-        mPassthrough_.inc();
         return true;
     }
 
@@ -357,7 +330,6 @@ ResultCache::store(const std::string &key, const std::string &payload,
         if (diskFailureErrno(errno)) {
             degraded_ = true;
             ++stats_.passthrough;
-            mPassthrough_.inc();
             return true;
         }
         error = "cannot create cache directory '" + parent + "'";
@@ -406,7 +378,6 @@ ResultCache::store(const std::string &key, const std::string &payload,
         if (diskFailureErrno(staging_errno)) {
             degraded_ = true;
             ++stats_.passthrough;
-            mPassthrough_.inc();
             return true;
         }
         error = "cannot stage cache entry '" + tmp +
@@ -419,7 +390,6 @@ ResultCache::store(const std::string &key, const std::string &payload,
         if (diskFailureErrno(err)) {
             degraded_ = true;
             ++stats_.passthrough;
-            mPassthrough_.inc();
             return true;
         }
         error = std::string("cannot commit cache entry: ") +
@@ -427,7 +397,6 @@ ResultCache::store(const std::string &key, const std::string &payload,
         return false;
     }
     ++stats_.stores;
-    mStores_.inc();
 
     const std::uint64_t entry_bytes = payload.size();
     std::vector<std::string> evicted;
@@ -461,7 +430,6 @@ ResultCache::store(const std::string &key, const std::string &payload,
     for (const std::string &k : evicted) {
         ::unlink(entryPath(k).c_str());
         ++stats_.evictions;
-        mEvictions_.inc();
     }
     return true;
 }

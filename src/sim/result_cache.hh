@@ -31,7 +31,7 @@
  *    hit whatever is already on disk, and the caller never sees a
  *    failure. A full disk degrades a sweep to cold-run speed instead
  *    of killing it.
- *  - scrub() (surfaced as `specslice_serve --fsck`) walks the fanout,
+ *  - scrub() (surfaced as `specslice_verify --fsck`) walks the fanout,
  *    re-verifies every entry end to end, quarantines or deletes the
  *    corrupt ones, clears staged temp files, and rebuilds the LRU
  *    index from the survivors.
@@ -48,8 +48,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-
-#include "obs/metrics.hh"
 
 namespace specslice::sim
 {
@@ -157,16 +155,6 @@ class ResultCache
     mutable std::mutex mu_;  ///< guards stats_ + in-process I/O
     Stats stats_;
     bool degraded_ = false;  ///< sticky pass-through mode
-    // Ambient-registry mirrors of stats_; no-ops when no registry is
-    // installed. Registered at construction so forked workers inherit
-    // the same shared-memory slots.
-    obs::Counter mHits_;
-    obs::Counter mMisses_;
-    obs::Counter mStores_;
-    obs::Counter mEvictions_;
-    obs::Counter mRejected_;
-    obs::Counter mQuarantined_;
-    obs::Counter mPassthrough_;
 };
 
 } // namespace specslice::sim

@@ -1,7 +1,9 @@
 #include "sim/result_json.hh"
 
 #include <algorithm>
+#include <limits>
 
+#include "common/failure.hh"
 #include "obs/interval.hh"
 
 namespace specslice::sim
@@ -78,6 +80,98 @@ perfRecord(const WorkloadPerf &p, bool include_wall)
     if (!p.result.intervals.empty())
         o.raw("intervals", obs::intervalsToJson(p.result.intervals));
     return o;
+}
+
+double
+speedupPct(const RunResult &base, const RunResult &other)
+{
+    // No cycles means no data, not zero speedup: return NaN and let
+    // Table::fmt print "n/a" (the StatGroup::ratio convention).
+    if (other.cycles == 0)
+        return std::numeric_limits<double>::quiet_NaN();
+    return 100.0 * (static_cast<double>(base.cycles) /
+                        static_cast<double>(other.cycles) -
+                    1.0);
+}
+
+int
+outcomeSeverity(SimOutcome oc)
+{
+    switch (oc) {
+      case SimOutcome::Completed:
+        return 0;
+      case SimOutcome::CycleLimit:
+        return 1;
+      case SimOutcome::Watchdog:
+        return 2;
+      case SimOutcome::CheckerDivergence:
+        return 3;
+      case SimOutcome::Fault:
+        return 4;
+    }
+    return 4;
+}
+
+SimOutcome
+worstOutcome(const std::vector<WorkloadPerf> &runs)
+{
+    SimOutcome worst = SimOutcome::Completed;
+    for (const WorkloadPerf &p : runs)
+        if (outcomeSeverity(p.result.outcome) > outcomeSeverity(worst))
+            worst = p.result.outcome;
+    return worst;
+}
+
+std::string
+perfDocument(const DocMeta &meta, const std::vector<WorkloadPerf> &runs,
+             bool include_wall)
+{
+    SS_ASSERT(!runs.empty(), "perfDocument needs at least one run");
+    std::uint64_t checked = 0;
+    for (const WorkloadPerf &p : runs)
+        checked += p.result.checkedRetired;
+    SimOutcome worst = worstOutcome(runs);
+    const RunResult &result = runs.back().result;
+
+    std::vector<std::string> elems;
+    for (const WorkloadPerf &p : runs)
+        elems.push_back(perfRecord(p, include_wall).str());
+
+    json::JsonObject doc;
+    doc.field("schema_version", resultSchemaVersion)
+        .field("workload", meta.workload)
+        .field("width", std::uint64_t{meta.width})
+        .field("insts", meta.insts)
+        .field("warmup", meta.warmup)
+        .field("seed", meta.seed)
+        .field("outcome", std::string(outcomeName(worst)))
+        .raw("runs", json::jsonArray(elems));
+    if (!meta.injectDescription.empty())
+        doc.field("inject", meta.injectDescription);
+    if (result.sampledRegions)
+        doc.field("fast_forwarded", result.fastForwarded)
+            .field("sampled_regions",
+                   std::uint64_t{result.sampledRegions});
+    if (meta.compare && runs.size() >= 2)
+        doc.field("speedup_pct",
+                  speedupPct(runs[0].result, runs[1].result));
+    if (checked)
+        doc.field("checked_retired", checked);
+    return doc.str();
+}
+
+std::string
+errorDocument(const std::string &workload, std::uint64_t seed,
+              const std::string &kind, const std::string &message)
+{
+    json::JsonObject err;
+    err.field("kind", kind).field("message", message);
+    json::JsonObject doc;
+    doc.field("schema_version", resultSchemaVersion)
+        .field("workload", workload)
+        .field("seed", seed)
+        .raw("error", err.str());
+    return doc.str();
 }
 
 namespace

@@ -5,24 +5,26 @@
  * Two kinds of documents share this file:
  *
  *  - The per-workload *record* (perfRecord): the stable, human-facing
- *    row emitted by specslice_run --json and BENCH_*.json. Moved here
- *    from bench/bench_common.hh so the sweep service renders the exact
- *    same bytes. Wall-clock fields are omittable (includeWall=false /
- *    --no-wall) because they are nondeterministic and would break the
- *    byte-identity contract between served and direct runs.
+ *    row emitted by specslice_run --json and BENCH_*.json, and the
+ *    specslice_run --json document built from those rows
+ *    (perfDocument / errorDocument). Wall-clock fields are omittable
+ *    (includeWall=false / --no-wall) because they are
+ *    nondeterministic; without them the document is byte-reproducible
+ *    and can be diffed across builds.
  *
  *  - The *full* result document (resultToJson/resultFromJson): a
- *    lossless round-trip of RunResult used as the result-cache payload
- *    and the service's worker->parent wire format. It carries every
- *    named counter, the detail StatGroup, intervals, the per-PC
- *    profile, and checker/sampling provenance, so a cache hit is
- *    indistinguishable from a fresh simulation to every consumer.
+ *    lossless round-trip of RunResult used as the result-cache
+ *    payload. It carries every named counter, the detail StatGroup,
+ *    intervals, the per-PC profile, and checker/sampling provenance,
+ *    so a cache hit is indistinguishable from a fresh simulation to
+ *    every consumer.
  */
 
 #ifndef SPECSLICE_SIM_RESULT_JSON_HH
 #define SPECSLICE_SIM_RESULT_JSON_HH
 
 #include <string>
+#include <vector>
 
 #include "check/digest.hh"
 #include "common/jsonio.hh"
@@ -39,7 +41,7 @@ using core::outcomeName;
 
 /**
  * Version of the machine-readable result documents (BENCH_*.json,
- * specslice_run --json, sweep-service responses). History lives in
+ * specslice_run --json). History lives in
  * bench/bench_common.hh next to the benchSchemaVersion alias.
  */
 constexpr std::uint64_t resultSchemaVersion = 6;
@@ -69,6 +71,43 @@ struct WorkloadPerf
  */
 json::JsonObject perfRecord(const WorkloadPerf &p,
                             bool include_wall = true);
+
+/** Percent speedup of `other` over `base` (by cycle count). */
+double speedupPct(const RunResult &base, const RunResult &other);
+
+/** Top-level metadata of a specslice_run --json document. */
+struct DocMeta
+{
+    std::string workload;
+    unsigned width = 4;
+    std::uint64_t insts = 0;
+    std::uint64_t warmup = 0;
+    std::uint64_t seed = 1;
+    /** FaultPlan::describe() of the armed plan ("" = no inject). */
+    std::string injectDescription;
+    bool compare = false;  ///< adds speedup_pct from runs[0] vs [1]
+};
+
+/** Rank outcomes by severity so a multi-run document (and its exit
+ *  code) reports the worst one. */
+int outcomeSeverity(SimOutcome oc);
+
+/** The worst outcome across a batch of runs. */
+SimOutcome worstOutcome(const std::vector<WorkloadPerf> &runs);
+
+/**
+ * Render the result document for a finished batch of runs — the exact
+ * bytes specslice_run --json prints (pass include_wall=false for the
+ * --no-wall form).
+ */
+std::string perfDocument(const DocMeta &meta,
+                         const std::vector<WorkloadPerf> &runs,
+                         bool include_wall);
+
+/** The {"error": {...}} document a failed run still emits. */
+std::string errorDocument(const std::string &workload,
+                          std::uint64_t seed, const std::string &kind,
+                          const std::string &message);
 
 /**
  * One golden-digest section for a finished run: the exact counter set

@@ -5,8 +5,8 @@
  * the on-disk store round-trips payloads, rejects (and removes)
  * corrupted entries instead of serving them, evicts LRU-first under a
  * size cap, and converges when many threads store the same key at
- * once — the exactly-once property the sweep service's in-flight
- * dedup and worker-side commits rest on.
+ * once — the property that lets parallel sweeps (and separate
+ * processes) share one cache directory.
  */
 
 #include <unistd.h>
@@ -24,7 +24,6 @@
 #include "fault/fault.hh"
 #include "sim/result_cache.hh"
 #include "sim/run_key.hh"
-#include "sim/serve_job.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -213,31 +212,6 @@ TEST(RunKeyTest, TraceFileKeyedByContentNotPath)
     EXPECT_NE(km, ka);
 }
 
-TEST(RunKeyTest, JobSpecKeyIsStableAndValidates)
-{
-    sim::JobSpec spec;
-    spec.workload = "vpr";
-    spec.insts = 10'000;
-    spec.warmup = 2'000;
-
-    std::string e1, e2;
-    const std::string k1 = sim::jobCacheKey(spec, e1);
-    const std::string k2 = sim::jobCacheKey(spec, e2);
-    EXPECT_EQ(k1, k2);
-    EXPECT_EQ(k1.size(), 64u);
-
-    sim::JobSpec other = spec;
-    other.seed = 7;
-    std::string e3;
-    EXPECT_NE(sim::jobCacheKey(other, e3), k1);
-
-    sim::JobSpec bad = spec;
-    bad.workload = "nosuch";
-    std::string err;
-    EXPECT_EQ(sim::jobCacheKey(bad, err), "");
-    EXPECT_NE(err.find("nosuch"), std::string::npos);
-}
-
 TEST(RunKeyTest, CheckpointKeyCoversIdentityAndDepth)
 {
     sim::Workload wl = smallWorkload();
@@ -391,8 +365,8 @@ TEST(ResultCacheTest, ConcurrentSameKeyStoresConvergeOnOneEntry)
     const std::string key(64, '9');
     const std::string payload(4'096, 'p');
 
-    // Many threads, each with its own cache instance (the server's
-    // worker processes in miniature), all storing the same key.
+    // Many threads, each with its own cache instance (separate
+    // processes in miniature), all storing the same key.
     std::vector<std::thread> threads;
     std::vector<int> failures(8, 0);
     for (int t = 0; t < 8; ++t) {

@@ -40,7 +40,7 @@
 #include "obs/interval.hh"
 #include "obs/trace.hh"
 #include "sim/experiments.hh"
-#include "sim/serve_job.hh"
+#include "sim/result_json.hh"
 #include "sim/simulator.hh"
 #include "trace/frontend.hh"
 #include "workloads/workloads.hh"
@@ -150,8 +150,8 @@ usage(int code)
         "  --json            print the result as JSON on stdout\n"
         "  --no-wall         omit the nondeterministic wall-clock\n"
         "                    fields from --json output, making the\n"
-        "                    document byte-reproducible (the form the\n"
-        "                    sweep service caches and serves)\n"
+        "                    document byte-reproducible (diffable\n"
+        "                    across builds and hosts)\n"
         "  --trace FLAGS     arm debug tracing (comma list of\n"
         "                    fetch,smt,corr,slice,mem,pred or 'all';\n"
         "                    SS_TRACE in the environment also works)\n"
@@ -400,10 +400,10 @@ main(int argc, char **argv)
     plan.seed = o.seed;
     if (plan.hasServiceSites()) {
         std::fprintf(stderr,
-                     "error: the plan names service-level sites "
-                     "(serve.*/cache.*/sock.*); those inject into "
-                     "the sweep daemon — pass them to "
-                     "specslice_serve --inject instead\n");
+                     "error: the plan names result-cache sites "
+                     "(cache.*); those fire inside the on-disk "
+                     "result cache, not the simulated machine, so "
+                     "a run cannot arm them\n");
         return 2;
     }
 
@@ -610,8 +610,7 @@ main(int argc, char **argv)
     sim::SimOutcome worst = sim::worstOutcome(runs);
 
     if (o.json) {
-        // The document assembly is shared with the sweep service so a
-        // served result is byte-identical to this path (--no-wall).
+        // With --no-wall the document is byte-reproducible.
         sim::DocMeta meta;
         meta.workload = wl.name;
         meta.width = o.width;

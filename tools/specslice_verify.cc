@@ -9,6 +9,8 @@
  *   specslice_verify --generate golden/          # refresh the corpus
  *   specslice_verify --golden golden/ --jobs 8 --workloads vpr,mcf
  *   specslice_verify --golden golden/ --inject slice.kill@n3 --json
+ *   specslice_verify --golden golden/ --serve --cache DIR  # incremental
+ *   specslice_verify --cache DIR --fsck          # offline cache scrub
  *
  * Verification reads the run parameters (insts/warmup/seed/width/
  * threads) out of each digest, so the committed corpus — not the
@@ -91,6 +93,9 @@ struct Options
      *  without simulating at all. */
     bool serve = false;
     std::string cacheDir;  ///< "" = SS_CACHE_DIR or .sscache
+    bool fsck = false;        ///< scrub the cache and exit
+    bool fsckDelete = false;  ///< --fsck deletes instead of
+                              ///< quarantining corrupt entries
     bool check = true;
     bool verbose = false;
     bool json = false;            ///< sweep summary JSON on stdout
@@ -143,8 +148,15 @@ usage(int code)
         "                    content-addressed result cache, simulate\n"
         "                    only what the cache is missing (after a\n"
         "                    no-op rebuild the whole sweep is served)\n"
-        "  --cache DIR       result-cache directory for --serve\n"
-        "                    (default $SS_CACHE_DIR or .sscache)\n"
+        "  --cache DIR       result-cache directory for --serve and\n"
+        "                    --fsck (default $SS_CACHE_DIR or\n"
+        "                    .sscache)\n"
+        "  --fsck            scrub --cache: verify every entry's\n"
+        "                    header + checksum, quarantine corrupt\n"
+        "                    ones, rebuild the LRU index; prints a\n"
+        "                    JSON report and exits (no simulation)\n"
+        "  --fsck-delete     with --fsck: delete corrupt entries\n"
+        "                    instead of quarantining them\n"
         "  --seed N          workload seed (generate; 1)\n"
         "  --width 4|8       machine width (generate; 4)\n"
         "  --threads N       SMT contexts (generate; 4)\n"
@@ -245,6 +257,10 @@ parseArgs(int argc, char **argv)
             o.serve = true;
         } else if (a == "--cache") {
             o.cacheDir = next();
+        } else if (a == "--fsck") {
+            o.fsck = true;
+        } else if (a == "--fsck-delete") {
+            o.fsckDelete = true;
         } else if (a == "--seed") {
             o.params.seed = parseNum(next());
         } else if (a == "--width") {
@@ -272,6 +288,10 @@ parseArgs(int argc, char **argv)
                          a.c_str());
             usage(2);
         }
+    }
+    if (o.fsckDelete && !o.fsck) {
+        std::fprintf(stderr, "error: --fsck-delete needs --fsck\n");
+        std::exit(2);
     }
     if (o.generate &&
         (!o.inject.empty() || !o.injectWorkload.empty())) {
@@ -560,12 +580,56 @@ generateWorkload(const std::string &name, const Options &o,
     return out;
 }
 
+/** The result-cache directory: --cache, else $SS_CACHE_DIR, else
+ *  .sscache. */
+std::string
+cacheDirFor(const Options &o)
+{
+    if (!o.cacheDir.empty())
+        return o.cacheDir;
+    if (const char *env = std::getenv("SS_CACHE_DIR"))
+        if (*env)
+            return env;
+    return ".sscache";
+}
+
+/** Offline cache scrub: one JSON report line on stdout; exits 0
+ *  unless the walk or the index rewrite itself failed. */
+int
+fsckMain(const Options &o)
+{
+    sim::ResultCache cache(cacheDirFor(o));
+    sim::ResultCache::ScrubReport rep;
+    std::string err;
+    const bool ok = cache.scrub(rep, err, o.fsckDelete);
+    bench::JsonObject doc;
+    doc.raw("ok", ok ? "true" : "false")
+        .field("op", std::string("fsck"))
+        .field("dir", cache.dir())
+        .field("scanned", rep.scanned)
+        .field("verified", rep.ok)
+        .field("quarantined", rep.quarantined)
+        .field("deleted", rep.deleted)
+        .field("tmp_removed", rep.tmpRemoved)
+        .field("index_dropped", rep.indexDropped)
+        .field("index_added", rep.indexAdded)
+        .field("bytes_verified", rep.bytes);
+    if (!ok)
+        doc.field("error", err);
+    std::printf("%s\n", doc.str().c_str());
+    if (!ok)
+        std::fprintf(stderr, "error: %s\n", err.c_str());
+    return ok ? 0 : 1;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options o = parseArgs(argc, argv);
+    if (o.fsck)
+        return fsckMain(o);
 
     const std::vector<std::string> &all = workloads::allWorkloadNames();
     std::vector<std::string> names =
@@ -602,15 +666,8 @@ main(int argc, char **argv)
     // --serve: one shared cache; ResultCache is thread-safe, so the
     // JobPool workers hit it concurrently.
     std::unique_ptr<sim::ResultCache> cache;
-    if (o.serve) {
-        std::string dir = o.cacheDir;
-        if (dir.empty())
-            if (const char *env = std::getenv("SS_CACHE_DIR"))
-                dir = env;
-        if (dir.empty())
-            dir = ".sscache";
-        cache = std::make_unique<sim::ResultCache>(dir);
-    }
+    if (o.serve)
+        cache = std::make_unique<sim::ResultCache>(cacheDirFor(o));
 
     sim::JobPool pool(o.jobs);
     sim::SettleOptions sopts;
