@@ -1,35 +1,51 @@
 #include "arch/exec.hh"
 
-#include <cstring>
-
 #include "common/bitutils.hh"
 #include "common/logging.hh"
+#include "isa/semantics.hh"
 
 namespace specslice::arch
 {
 
 using isa::Opcode;
 
-namespace
-{
-
-double
-asDouble(std::uint64_t bits_)
-{
-    double v;
-    std::memcpy(&v, &bits_, sizeof(v));
-    return v;
-}
-
-std::uint64_t
-asBits(double v)
-{
-    std::uint64_t bits_;
-    std::memcpy(&bits_, &v, sizeof(bits_));
-    return bits_;
-}
-
-} // namespace
+/*
+ * One case per opcodes.def row; the row's kind picks the skeleton
+ * below and its sem expression fills it in. a/b/sa/sb/imm are the
+ * names the expressions are written against.
+ */
+#define EXEC_AluRR(bytes, sgn, sem) writeRc(sem)
+#define EXEC_AluR EXEC_AluRR
+#define EXEC_AluRI EXEC_AluRR
+#define EXEC_AluI EXEC_AluRR
+#define EXEC_Cmov(bytes, sgn, sem)                                    \
+    if (sem)                                                          \
+        writeRc(b)
+#define EXEC_Load(bytes, sgn, sem)                                    \
+    if (access(true))                                                 \
+        writeRc(isa::extendLoad(mem.read(res.memAddr, bytes), bytes, sgn))
+#define EXEC_Prefetch(bytes, sgn, sem) access(true)
+#define EXEC_Store(bytes, sgn, sem)                                   \
+    if (access(allow_stores)) {                                       \
+        mem.write(res.memAddr, a, bytes);                             \
+        res.value = a & mask(8 * bytes);                              \
+    }
+#define EXEC_CondBr(bytes, sgn, sem) res.taken = (sem)
+#define EXEC_Br(bytes, sgn, sem) res.taken = true
+#define EXEC_Call(bytes, sgn, sem)                                    \
+    res.taken = true;                                                 \
+    writeRc(pc + isa::instBytes)
+#define EXEC_Jmp(bytes, sgn, sem)                                     \
+    res.taken = true;                                                 \
+    res.nextPc = a
+#define EXEC_Ret EXEC_Jmp
+#define EXEC_CallR(bytes, sgn, sem)                                   \
+    res.taken = true;                                                 \
+    res.nextPc = b;                                                   \
+    writeRc(pc + isa::instBytes)
+#define EXEC_Nop(bytes, sgn, sem)
+#define EXEC_Halt(bytes, sgn, sem) res.halted = true
+#define EXEC_SliceEnd(bytes, sgn, sem) res.sliceEnded = true
 
 ExecResult
 execute(const isa::Instruction &inst, Addr pc, RegFile &regs,
@@ -43,156 +59,27 @@ execute(const isa::Instruction &inst, Addr pc, RegFile &regs,
     const auto sa = static_cast<std::int64_t>(a);
     const auto sb = static_cast<std::int64_t>(b);
     const std::int64_t imm = inst.imm;
+    using namespace isa;  // the sem expressions' helpers
 
     auto writeRc = [&](std::uint64_t v) {
         regs.write(inst.rc, v);
         res.value = v;
         res.wroteReg = true;
     };
+    // Compute the effective address; false (a fault) if the access is
+    // not permitted or lands on the null page.
+    auto access = [&](bool permitted) {
+        res.memAddr = b + static_cast<std::uint64_t>(imm);
+        res.fault = !permitted || MemoryImage::faults(res.memAddr);
+        return !res.fault;
+    };
 
     switch (inst.op) {
-      // Integer ALU, register form.
-      case Opcode::Add: writeRc(a + b); break;
-      case Opcode::Sub: writeRc(a - b); break;
-      case Opcode::And: writeRc(a & b); break;
-      case Opcode::Or:  writeRc(a | b); break;
-      case Opcode::Xor: writeRc(a ^ b); break;
-      case Opcode::Sll: writeRc(a << (b & 63)); break;
-      case Opcode::Srl: writeRc(a >> (b & 63)); break;
-      case Opcode::Sra:
-        writeRc(static_cast<std::uint64_t>(sa >> (b & 63)));
+#define SS_OP(name, method, kind, fu, lat, bytes, sgn, sem)              \
+      case Opcode::name:                                              \
+        EXEC_##kind(bytes, sgn, sem);                                 \
         break;
-      case Opcode::CmpEq:  writeRc(a == b ? 1 : 0); break;
-      case Opcode::CmpLt:  writeRc(sa < sb ? 1 : 0); break;
-      case Opcode::CmpLe:  writeRc(sa <= sb ? 1 : 0); break;
-      case Opcode::CmpUlt: writeRc(a < b ? 1 : 0); break;
-      case Opcode::S4Add:  writeRc((a << 2) + b); break;
-      case Opcode::S8Add:  writeRc((a << 3) + b); break;
-      case Opcode::CmovEq:
-        if (a == 0)
-            writeRc(b);
-        break;
-      case Opcode::CmovNe:
-        if (a != 0)
-            writeRc(b);
-        break;
-      case Opcode::CmovLt:
-        if (sa < 0)
-            writeRc(b);
-        break;
-
-      // Integer ALU, immediate form.
-      case Opcode::AddI: writeRc(a + imm); break;
-      case Opcode::SubI: writeRc(a - imm); break;
-      case Opcode::AndI: writeRc(a & static_cast<std::uint64_t>(imm)); break;
-      case Opcode::OrI:  writeRc(a | static_cast<std::uint64_t>(imm)); break;
-      case Opcode::XorI: writeRc(a ^ static_cast<std::uint64_t>(imm)); break;
-      case Opcode::SllI: writeRc(a << (imm & 63)); break;
-      case Opcode::SrlI: writeRc(a >> (imm & 63)); break;
-      case Opcode::SraI:
-        writeRc(static_cast<std::uint64_t>(sa >> (imm & 63)));
-        break;
-      case Opcode::CmpEqI:  writeRc(sa == imm ? 1 : 0); break;
-      case Opcode::CmpLtI:  writeRc(sa < imm ? 1 : 0); break;
-      case Opcode::CmpLeI:  writeRc(sa <= imm ? 1 : 0); break;
-      case Opcode::CmpUltI:
-        writeRc(a < static_cast<std::uint64_t>(imm) ? 1 : 0);
-        break;
-      case Opcode::Ldi: writeRc(static_cast<std::uint64_t>(imm)); break;
-
-      // Complex integer.
-      case Opcode::Mul: writeRc(a * b); break;
-      case Opcode::Div:
-        writeRc(sb == 0 ? 0 : static_cast<std::uint64_t>(sa / sb));
-        break;
-
-      // Floating point.
-      case Opcode::FAdd: writeRc(asBits(asDouble(a) + asDouble(b))); break;
-      case Opcode::FSub: writeRc(asBits(asDouble(a) - asDouble(b))); break;
-      case Opcode::FMul: writeRc(asBits(asDouble(a) * asDouble(b))); break;
-      case Opcode::FCmpLt: writeRc(asDouble(a) < asDouble(b) ? 1 : 0); break;
-      case Opcode::FCmpLe: writeRc(asDouble(a) <= asDouble(b) ? 1 : 0); break;
-      case Opcode::FCmpEq: writeRc(asDouble(a) == asDouble(b) ? 1 : 0); break;
-      case Opcode::CvtIF: writeRc(asBits(static_cast<double>(sa))); break;
-      case Opcode::CvtFI:
-        writeRc(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(asDouble(a))));
-        break;
-
-      // Memory.
-      case Opcode::Ldq:
-      case Opcode::Ldl:
-      case Opcode::Ldbu:
-      case Opcode::Prefetch: {
-        Addr ea = b + static_cast<std::uint64_t>(imm);
-        res.memAddr = ea;
-        if (MemoryImage::faults(ea)) {
-            res.fault = true;
-            break;
-        }
-        if (inst.op == Opcode::Ldq)
-            writeRc(mem.readQ(ea));
-        else if (inst.op == Opcode::Ldl)
-            writeRc(static_cast<std::uint64_t>(
-                signExtend(mem.readL(ea), 32)));
-        else if (inst.op == Opcode::Ldbu)
-            writeRc(mem.readB(ea));
-        // Prefetch reads no destination and never faults further.
-        break;
-      }
-      case Opcode::Stq:
-      case Opcode::Stl:
-      case Opcode::Stb: {
-        Addr ea = b + static_cast<std::uint64_t>(imm);
-        res.memAddr = ea;
-        if (!allow_stores || MemoryImage::faults(ea)) {
-            res.fault = true;
-            break;
-        }
-        if (inst.op == Opcode::Stq) {
-            mem.writeQ(ea, a);
-            res.value = a;
-        } else if (inst.op == Opcode::Stl) {
-            mem.writeL(ea, static_cast<std::uint32_t>(a));
-            res.value = static_cast<std::uint32_t>(a);
-        } else {
-            mem.writeB(ea, static_cast<std::uint8_t>(a));
-            res.value = static_cast<std::uint8_t>(a);
-        }
-        break;
-      }
-
-      // Control.
-      case Opcode::Beq: res.taken = (sa == 0); break;
-      case Opcode::Bne: res.taken = (sa != 0); break;
-      case Opcode::Blt: res.taken = (sa < 0); break;
-      case Opcode::Ble: res.taken = (sa <= 0); break;
-      case Opcode::Bgt: res.taken = (sa > 0); break;
-      case Opcode::Bge: res.taken = (sa >= 0); break;
-      case Opcode::Br:  res.taken = true; break;
-      case Opcode::Call:
-        res.taken = true;
-        writeRc(pc + isa::instBytes);
-        break;
-      case Opcode::Jmp:
-        res.taken = true;
-        res.nextPc = a;
-        break;
-      case Opcode::CallR:
-        res.taken = true;
-        res.nextPc = b;
-        writeRc(pc + isa::instBytes);
-        break;
-      case Opcode::Ret:
-        res.taken = true;
-        res.nextPc = a;
-        break;
-
-      // Misc.
-      case Opcode::Nop: break;
-      case Opcode::Halt: res.halted = true; break;
-      case Opcode::SliceEnd: res.sliceEnded = true; break;
-
+#include "isa/opcodes.def"
       default:
         SS_PANIC("unimplemented opcode ",
                  static_cast<unsigned>(inst.op));

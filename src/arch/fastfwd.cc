@@ -1,38 +1,15 @@
 #include "arch/fastfwd.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <iterator>
 
 #include "arch/exec.hh"
-#include "common/bitutils.hh"
 #include "common/logging.hh"
+#include "isa/semantics.hh"
 
 namespace specslice::arch
 {
 
 using isa::Opcode;
-
-namespace
-{
-
-double
-asDouble(std::uint64_t bits_)
-{
-    double v;
-    std::memcpy(&v, &bits_, sizeof(v));
-    return v;
-}
-
-std::uint64_t
-asBits(double v)
-{
-    std::uint64_t bits_;
-    std::memcpy(&bits_, &v, sizeof(bits_));
-    return bits_;
-}
-
-} // namespace
 
 const char *
 ffStopName(FfStop stop)
@@ -246,408 +223,6 @@ FastForward::restore(const Checkpoint &ckpt)
         recordInstLine(pc);
 }
 
-/*
- * The interpreter core. One handler per opcode, written once and
- * compiled either as direct-threaded code (GNU computed goto: each
- * handler ends in its own indirect jump, so the branch predictor
- * learns per-handler successor patterns) or as a switch in a loop on
- * other compilers. Semantics mirror arch::execute case by case; the
- * test suite locks the two together by comparing final state against
- * arch::trace on every workload.
- *
- * Counting follows Tracer rules exactly: a halting or faulting
- * instruction is counted, the instruction at an unmapped PC is not,
- * and the budget is checked before each fetch, so a budget stop at an
- * unmapped next-PC reports Budget (the tracer never fetched either).
- */
-
-#if defined(__GNUC__) || defined(__clang__)
-#define SS_FF_THREADED 1
-#else
-#define SS_FF_THREADED 0
-#endif
-
-// Terminate this advance: bank the instruction count, remember where
-// and why, and make the reason sticky (Budget re-arms via advance()).
-#define SS_FF_STOP(why, at)                                           \
-    do {                                                              \
-        executed_ += n;                                               \
-        pc_ = (at);                                                   \
-        last_ = (why);                                                \
-        return (why);                                                 \
-    } while (0)
-
-#if SS_FF_THREADED
-#define SS_FF_CASE(name) ff_##name:
-#define SS_FF_GAP ff_Gap:
-#define SS_FF_NEXT()                                                  \
-    do {                                                              \
-        if (n >= max_insts)                                           \
-            SS_FF_STOP(FfStop::Budget, pcOf(idx));                    \
-        recordInstLine(pcOf(idx));                                    \
-        goto *jumpTable[code[idx].op];                                \
-    } while (0)
-#else
-#define SS_FF_CASE(name) case Opcode::name:
-#define SS_FF_GAP default:
-#define SS_FF_NEXT() goto dispatch
-#endif
-
-// exec.cc's operand shorthands, against the pre-decoded record.
-#define D code[idx]
-#define RA regs.read(D.ra)
-#define RB regs.read(D.rb)
-#define SA static_cast<std::int64_t>(RA)
-#define SB static_cast<std::int64_t>(RB)
-#define SIMM static_cast<std::int64_t>(D.imm)
-#define UIMM static_cast<std::uint64_t>(SIMM)
-#define WR(v) regs.write(D.rc, (v))
-#define STEP()                                                        \
-    do {                                                              \
-        ++idx;                                                        \
-        ++n;                                                          \
-        SS_FF_NEXT();                                                 \
-    } while (0)
-
-// Redirect to a precomputed taken-path index; badIdx means the static
-// target lies outside the decode array, i.e. off the program image.
-#define TAKE(tidx)                                                    \
-    do {                                                              \
-        std::uint32_t t_ = (tidx);                                    \
-        ++n;                                                          \
-        if (t_ == badIdx) {                                           \
-            Addr tgt_ = staticTargetOf(idx);                          \
-            if (n >= max_insts)                                       \
-                SS_FF_STOP(FfStop::Budget, tgt_);                     \
-            SS_FF_STOP(FfStop::UnmappedPc, tgt_);                     \
-        }                                                             \
-        idx = t_;                                                     \
-        SS_FF_NEXT();                                                 \
-    } while (0)
-
-#define CBR(cond)                                                     \
-    {                                                                 \
-        const bool taken_ = (cond);                                   \
-        recordCond(pcOf(idx), taken_);                                \
-        TAKE(taken_ ? D.targetIdx : idx + 1);                         \
-    }
-
-// Indirect transfer to a runtime address.
-#define GOIND(next)                                                   \
-    do {                                                              \
-        const Addr next_ = (next);                                    \
-        recordIndirect(pcOf(idx), next_);                             \
-        ++n;                                                          \
-        const std::uint32_t t_ = idxOf(next_);                        \
-        if (t_ == badIdx) {                                           \
-            if (n >= max_insts)                                       \
-                SS_FF_STOP(FfStop::Budget, next_);                    \
-            SS_FF_STOP(FfStop::UnmappedPc, next_);                    \
-        }                                                             \
-        idx = t_;                                                     \
-        SS_FF_NEXT();                                                 \
-    } while (0)
-
-#define EA (RB + UIMM)
-#define LOADFAULT(ea)                                                 \
-    if (MemoryImage::faults(ea)) {                                    \
-        ++n;                                                          \
-        SS_FF_STOP(FfStop::Fault, pcOf(idx));                         \
-    }
-
-FfStop
-FastForward::run(std::uint64_t max_insts)
-{
-    RegFile &regs = regs_;
-    MemoryImage &mem = mem_;
-    const Decoded *const code = ops_.data();
-    std::uint64_t n = 0;
-    std::uint32_t idx = idxOf(pc_);
-
-    if (idx == badIdx) {
-        // Already off the image (e.g. a checkpoint taken mid-stop).
-        if (max_insts == 0)
-            SS_FF_STOP(FfStop::Budget, pc_);
-        SS_FF_STOP(FfStop::UnmappedPc, pc_);
-    }
-
-#if SS_FF_THREADED
-    // Must match the isa::Opcode declaration order exactly; the
-    // static_assert below pins the enum so silent drift is impossible.
-    static const void *const jumpTable[] = {
-        &&ff_Add, &&ff_Sub, &&ff_And, &&ff_Or, &&ff_Xor,
-        &&ff_Sll, &&ff_Srl, &&ff_Sra,
-        &&ff_CmpEq, &&ff_CmpLt, &&ff_CmpLe, &&ff_CmpUlt,
-        &&ff_S4Add, &&ff_S8Add,
-        &&ff_CmovEq, &&ff_CmovNe, &&ff_CmovLt,
-        &&ff_AddI, &&ff_SubI, &&ff_AndI, &&ff_OrI, &&ff_XorI,
-        &&ff_SllI, &&ff_SrlI, &&ff_SraI,
-        &&ff_CmpEqI, &&ff_CmpLtI, &&ff_CmpLeI, &&ff_CmpUltI,
-        &&ff_Ldi,
-        &&ff_Mul, &&ff_Div,
-        &&ff_FAdd, &&ff_FSub, &&ff_FMul,
-        &&ff_FCmpLt, &&ff_FCmpLe, &&ff_FCmpEq,
-        &&ff_CvtIF, &&ff_CvtFI,
-        &&ff_Ldq, &&ff_Ldl, &&ff_Ldbu,
-        &&ff_Stq, &&ff_Stl, &&ff_Stb, &&ff_Prefetch,
-        &&ff_Beq, &&ff_Bne, &&ff_Blt, &&ff_Ble, &&ff_Bgt, &&ff_Bge,
-        &&ff_Br, &&ff_Call, &&ff_Jmp, &&ff_CallR, &&ff_Ret,
-        &&ff_Nop, &&ff_Halt, &&ff_SliceEnd,
-        &&ff_Gap,
-    };
-    static_assert(static_cast<unsigned>(Opcode::NumOpcodes) == 61,
-                  "opcode added/removed: update fastfwd jump table");
-    static_assert(std::size(jumpTable) ==
-                  static_cast<std::size_t>(Opcode::NumOpcodes) + 1);
-
-    SS_FF_NEXT();
-#else
-  dispatch:
-    if (n >= max_insts)
-        SS_FF_STOP(FfStop::Budget, pcOf(idx));
-    recordInstLine(pcOf(idx));
-    switch (static_cast<Opcode>(code[idx].op))
-#endif
-    {
-        // Integer ALU, register form.
-        SS_FF_CASE(Add) { WR(RA + RB); STEP(); }
-        SS_FF_CASE(Sub) { WR(RA - RB); STEP(); }
-        SS_FF_CASE(And) { WR(RA & RB); STEP(); }
-        SS_FF_CASE(Or)  { WR(RA | RB); STEP(); }
-        SS_FF_CASE(Xor) { WR(RA ^ RB); STEP(); }
-        SS_FF_CASE(Sll) { WR(RA << (RB & 63)); STEP(); }
-        SS_FF_CASE(Srl) { WR(RA >> (RB & 63)); STEP(); }
-        SS_FF_CASE(Sra)
-        {
-            WR(static_cast<std::uint64_t>(SA >> (RB & 63)));
-            STEP();
-        }
-        SS_FF_CASE(CmpEq)  { WR(RA == RB ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpLt)  { WR(SA < SB ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpLe)  { WR(SA <= SB ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpUlt) { WR(RA < RB ? 1 : 0); STEP(); }
-        SS_FF_CASE(S4Add)  { WR((RA << 2) + RB); STEP(); }
-        SS_FF_CASE(S8Add)  { WR((RA << 3) + RB); STEP(); }
-        SS_FF_CASE(CmovEq)
-        {
-            if (RA == 0)
-                WR(RB);
-            STEP();
-        }
-        SS_FF_CASE(CmovNe)
-        {
-            if (RA != 0)
-                WR(RB);
-            STEP();
-        }
-        SS_FF_CASE(CmovLt)
-        {
-            if (SA < 0)
-                WR(RB);
-            STEP();
-        }
-
-        // Integer ALU, immediate form.
-        SS_FF_CASE(AddI) { WR(RA + SIMM); STEP(); }
-        SS_FF_CASE(SubI) { WR(RA - SIMM); STEP(); }
-        SS_FF_CASE(AndI) { WR(RA & UIMM); STEP(); }
-        SS_FF_CASE(OrI)  { WR(RA | UIMM); STEP(); }
-        SS_FF_CASE(XorI) { WR(RA ^ UIMM); STEP(); }
-        SS_FF_CASE(SllI) { WR(RA << (SIMM & 63)); STEP(); }
-        SS_FF_CASE(SrlI) { WR(RA >> (SIMM & 63)); STEP(); }
-        SS_FF_CASE(SraI)
-        {
-            WR(static_cast<std::uint64_t>(SA >> (SIMM & 63)));
-            STEP();
-        }
-        SS_FF_CASE(CmpEqI)  { WR(SA == SIMM ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpLtI)  { WR(SA < SIMM ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpLeI)  { WR(SA <= SIMM ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpUltI) { WR(RA < UIMM ? 1 : 0); STEP(); }
-        SS_FF_CASE(Ldi)     { WR(UIMM); STEP(); }
-
-        // Complex integer.
-        SS_FF_CASE(Mul) { WR(RA * RB); STEP(); }
-        SS_FF_CASE(Div)
-        {
-            const std::int64_t sb = SB;
-            WR(sb == 0 ? 0 : static_cast<std::uint64_t>(SA / sb));
-            STEP();
-        }
-
-        // Floating point.
-        SS_FF_CASE(FAdd)
-        {
-            WR(asBits(asDouble(RA) + asDouble(RB)));
-            STEP();
-        }
-        SS_FF_CASE(FSub)
-        {
-            WR(asBits(asDouble(RA) - asDouble(RB)));
-            STEP();
-        }
-        SS_FF_CASE(FMul)
-        {
-            WR(asBits(asDouble(RA) * asDouble(RB)));
-            STEP();
-        }
-        SS_FF_CASE(FCmpLt)
-        {
-            WR(asDouble(RA) < asDouble(RB) ? 1 : 0);
-            STEP();
-        }
-        SS_FF_CASE(FCmpLe)
-        {
-            WR(asDouble(RA) <= asDouble(RB) ? 1 : 0);
-            STEP();
-        }
-        SS_FF_CASE(FCmpEq)
-        {
-            WR(asDouble(RA) == asDouble(RB) ? 1 : 0);
-            STEP();
-        }
-        SS_FF_CASE(CvtIF)
-        {
-            WR(asBits(static_cast<double>(SA)));
-            STEP();
-        }
-        SS_FF_CASE(CvtFI)
-        {
-            WR(static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(asDouble(RA))));
-            STEP();
-        }
-
-        // Memory.
-        SS_FF_CASE(Ldq)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, false);
-            WR(mem.readQ(ea));
-            STEP();
-        }
-        SS_FF_CASE(Ldl)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, false);
-            WR(static_cast<std::uint64_t>(
-                signExtend(mem.readL(ea), 32)));
-            STEP();
-        }
-        SS_FF_CASE(Ldbu)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, false);
-            WR(mem.readB(ea));
-            STEP();
-        }
-        SS_FF_CASE(Prefetch)
-        {
-            // Like exec.cc: the null-page check still applies, the
-            // access itself is dropped — and the line it names would
-            // land in the cache, so it warms like a load.
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, false);
-            STEP();
-        }
-        SS_FF_CASE(Stq)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, true);
-            mem.writeQ(ea, RA);
-            STEP();
-        }
-        SS_FF_CASE(Stl)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, true);
-            mem.writeL(ea, static_cast<std::uint32_t>(RA));
-            STEP();
-        }
-        SS_FF_CASE(Stb)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, true);
-            mem.writeB(ea, static_cast<std::uint8_t>(RA));
-            STEP();
-        }
-
-        // Control.
-        SS_FF_CASE(Beq) CBR(SA == 0)
-        SS_FF_CASE(Bne) CBR(SA != 0)
-        SS_FF_CASE(Blt) CBR(SA < 0)
-        SS_FF_CASE(Ble) CBR(SA <= 0)
-        SS_FF_CASE(Bgt) CBR(SA > 0)
-        SS_FF_CASE(Bge) CBR(SA >= 0)
-        SS_FF_CASE(Br)  { TAKE(D.targetIdx); }
-        SS_FF_CASE(Call)
-        {
-            WR(pcOf(idx) + isa::instBytes);
-            TAKE(D.targetIdx);
-        }
-        SS_FF_CASE(Jmp) { GOIND(RA); }
-        SS_FF_CASE(CallR)
-        {
-            // Read the target before the link write: rc may alias rb.
-            const Addr next = RB;
-            WR(pcOf(idx) + isa::instBytes);
-            GOIND(next);
-        }
-        SS_FF_CASE(Ret) { GOIND(RA); }
-
-        // Misc.
-        SS_FF_CASE(Nop) { STEP(); }
-        SS_FF_CASE(Halt)
-        {
-            ++n;
-            SS_FF_STOP(FfStop::Halted, pcOf(idx));
-        }
-        SS_FF_CASE(SliceEnd)
-        {
-            // In the main architectural stream a SliceEnd is inert
-            // (only helper threads terminate on it) — fall through,
-            // exactly as the Tracer does.
-            STEP();
-        }
-
-        SS_FF_GAP
-        {
-            // Inter-section gap or the end sentinel: this PC holds no
-            // instruction, so it is not counted (Tracer fetch failure).
-            SS_FF_STOP(FfStop::UnmappedPc, pcOf(idx));
-        }
-    }
-#if !SS_FF_THREADED
-    SS_PANIC("fastfwd dispatch fell through");
-#endif
-}
-
-#undef SS_FF_STOP
-#undef SS_FF_CASE
-#undef SS_FF_GAP
-#undef SS_FF_NEXT
-#undef D
-#undef RA
-#undef RB
-#undef SA
-#undef SB
-#undef SIMM
-#undef UIMM
-#undef WR
-#undef STEP
-#undef TAKE
-#undef CBR
-#undef GOIND
-#undef EA
-#undef LOADFAULT
-
 Addr
 FastForward::staticTargetOf(std::uint32_t idx) const
 {
@@ -693,6 +268,242 @@ FastForward::runSparse(std::uint64_t max_insts)
     executed_ += n;
     last_ = FfStop::Budget;
     return last_;
+}
+
+/*
+ * The interpreter core. One handler per opcodes.def row, expanded from
+ * the row's kind and semantics expression — the same rows arch::execute
+ * is expanded from — and compiled either as direct-threaded code (GNU
+ * computed goto: each handler ends in its own indirect jump, so the
+ * branch predictor learns per-handler successor patterns) or as a
+ * switch in a loop on other compilers. What differs from execute is the
+ * dispatch, the pre-resolved branch targets and the warmth recording;
+ * the test suite pins both against a hand-computed per-opcode table
+ * and against arch::trace on every workload.
+ *
+ * Counting follows Tracer rules exactly: a halting or faulting
+ * instruction is counted, the instruction at an unmapped PC is not,
+ * and the budget is checked before each fetch, so a budget stop at an
+ * unmapped next-PC reports Budget (the tracer never fetched either).
+ */
+
+#if defined(__GNUC__) || defined(__clang__)
+#define SS_FF_THREADED 1
+#else
+#define SS_FF_THREADED 0
+#endif
+
+// Terminate this advance: bank the instruction count, remember where
+// and why, and make the reason sticky (Budget re-arms via advance()).
+#define SS_FF_STOP(why, at)                                           \
+    do {                                                              \
+        executed_ += n;                                               \
+        pc_ = (at);                                                   \
+        last_ = (why);                                                \
+        return (why);                                                 \
+    } while (0)
+
+#if SS_FF_THREADED
+#define SS_FF_CASE(name) ff_##name:
+#define SS_FF_GAP ff_Gap:
+#define SS_FF_NEXT()                                                  \
+    do {                                                              \
+        if (n >= max_insts)                                           \
+            SS_FF_STOP(FfStop::Budget, pcOf(idx));                    \
+        recordInstLine(pcOf(idx));                                    \
+        goto *jumpTable[code[idx].op];                                \
+    } while (0)
+#else
+#define SS_FF_CASE(name) case Opcode::name:
+#define SS_FF_GAP default:
+#define SS_FF_NEXT() goto dispatch
+#endif
+
+// Operand shorthands against the pre-decoded record.
+#define D code[idx]
+#define RA regs.read(D.ra)
+#define RB regs.read(D.rb)
+#define WR(v) regs.write(D.rc, (v))
+// The names opcodes.def semantics expressions are written against.
+#define OPERANDS                                                      \
+    [[maybe_unused]] const std::uint64_t a = RA, b = RB;              \
+    [[maybe_unused]] const auto sa = static_cast<std::int64_t>(a);    \
+    [[maybe_unused]] const auto sb = static_cast<std::int64_t>(b);    \
+    [[maybe_unused]] const std::int64_t imm = D.imm
+#define STEP()                                                        \
+    do {                                                              \
+        ++idx;                                                        \
+        ++n;                                                          \
+        SS_FF_NEXT();                                                 \
+    } while (0)
+
+// Redirect to a precomputed taken-path index; badIdx means the static
+// target lies outside the decode array, i.e. off the program image.
+#define TAKE(tidx)                                                    \
+    do {                                                              \
+        std::uint32_t t_ = (tidx);                                    \
+        ++n;                                                          \
+        if (t_ == badIdx) {                                           \
+            Addr tgt_ = staticTargetOf(idx);                          \
+            if (n >= max_insts)                                       \
+                SS_FF_STOP(FfStop::Budget, tgt_);                     \
+            SS_FF_STOP(FfStop::UnmappedPc, tgt_);                     \
+        }                                                             \
+        idx = t_;                                                     \
+        SS_FF_NEXT();                                                 \
+    } while (0)
+
+// Indirect transfer to a runtime address.
+#define GOIND(next)                                                   \
+    do {                                                              \
+        const Addr next_ = (next);                                    \
+        recordIndirect(pcOf(idx), next_);                             \
+        ++n;                                                          \
+        const std::uint32_t t_ = idxOf(next_);                        \
+        if (t_ == badIdx) {                                           \
+            if (n >= max_insts)                                       \
+                SS_FF_STOP(FfStop::Budget, next_);                    \
+            SS_FF_STOP(FfStop::UnmappedPc, next_);                    \
+        }                                                             \
+        idx = t_;                                                     \
+        SS_FF_NEXT();                                                 \
+    } while (0)
+
+// Effective address of a memory op; a null-page access faults (and is
+// counted) before it is recorded as warmth.
+#define ACCESS(is_store)                                              \
+    const Addr ea = RB + static_cast<std::uint64_t>(D.imm);           \
+    if (MemoryImage::faults(ea)) {                                    \
+        ++n;                                                          \
+        SS_FF_STOP(FfStop::Fault, pcOf(idx));                         \
+    }                                                                 \
+    recordMem(ea, is_store)
+
+// Handler bodies by kind.
+#define FF_AluRR(bytes, sgn, sem)                                     \
+    {                                                                 \
+        OPERANDS;                                                     \
+        WR(sem);                                                      \
+        STEP();                                                       \
+    }
+#define FF_AluR FF_AluRR
+#define FF_AluRI FF_AluRR
+#define FF_AluI FF_AluRR
+#define FF_Cmov(bytes, sgn, sem)                                      \
+    {                                                                 \
+        OPERANDS;                                                     \
+        if (sem)                                                      \
+            WR(b);                                                    \
+        STEP();                                                       \
+    }
+#define FF_Load(bytes, sgn, sem)                                      \
+    {                                                                 \
+        ACCESS(false);                                                \
+        WR(isa::extendLoad(mem.read(ea, bytes), bytes, sgn));         \
+        STEP();                                                       \
+    }
+// The access itself is dropped, but the line it names would land in
+// the cache, so a prefetch warms like a load.
+#define FF_Prefetch(bytes, sgn, sem)                                  \
+    {                                                                 \
+        ACCESS(false);                                                \
+        STEP();                                                       \
+    }
+#define FF_Store(bytes, sgn, sem)                                     \
+    {                                                                 \
+        ACCESS(true);                                                 \
+        mem.write(ea, RA, bytes);                                     \
+        STEP();                                                       \
+    }
+#define FF_CondBr(bytes, sgn, sem)                                    \
+    {                                                                 \
+        OPERANDS;                                                     \
+        const bool taken_ = (sem);                                    \
+        recordCond(pcOf(idx), taken_);                                \
+        TAKE(taken_ ? D.targetIdx : idx + 1);                         \
+    }
+#define FF_Br(bytes, sgn, sem)                                        \
+    {                                                                 \
+        TAKE(D.targetIdx);                                            \
+    }
+#define FF_Call(bytes, sgn, sem)                                      \
+    {                                                                 \
+        WR(pcOf(idx) + isa::instBytes);                               \
+        TAKE(D.targetIdx);                                            \
+    }
+#define FF_Jmp(bytes, sgn, sem)                                       \
+    {                                                                 \
+        GOIND(RA);                                                    \
+    }
+#define FF_Ret FF_Jmp
+// Read the target before the link write: rc may alias rb.
+#define FF_CallR(bytes, sgn, sem)                                     \
+    {                                                                 \
+        const Addr next = RB;                                         \
+        WR(pcOf(idx) + isa::instBytes);                               \
+        GOIND(next);                                                  \
+    }
+#define FF_Nop(bytes, sgn, sem)                                       \
+    {                                                                 \
+        STEP();                                                       \
+    }
+#define FF_Halt(bytes, sgn, sem)                                      \
+    {                                                                 \
+        ++n;                                                          \
+        SS_FF_STOP(FfStop::Halted, pcOf(idx));                        \
+    }
+// In the main architectural stream a SliceEnd is inert (only helper
+// threads terminate on it), exactly as the Tracer treats it.
+#define FF_SliceEnd FF_Nop
+
+FfStop
+FastForward::run(std::uint64_t max_insts)
+{
+    using namespace isa;  // the sem expressions' helpers
+    RegFile &regs = regs_;
+    MemoryImage &mem = mem_;
+    const Decoded *const code = ops_.data();
+    std::uint64_t n = 0;
+    std::uint32_t idx = idxOf(pc_);
+
+    if (idx == badIdx) {
+        // Already off the image (e.g. a checkpoint taken mid-stop).
+        if (max_insts == 0)
+            SS_FF_STOP(FfStop::Budget, pc_);
+        SS_FF_STOP(FfStop::UnmappedPc, pc_);
+    }
+
+#if SS_FF_THREADED
+    // Indexed by opcode number, with the gap handler at invalidOp.
+    static const void *const jumpTable[] = {
+#define SS_OP(name, ...) &&ff_##name,
+#include "isa/opcodes.def"
+        &&ff_Gap,
+    };
+
+    SS_FF_NEXT();
+#else
+  dispatch:
+    if (n >= max_insts)
+        SS_FF_STOP(FfStop::Budget, pcOf(idx));
+    recordInstLine(pcOf(idx));
+    switch (static_cast<Opcode>(code[idx].op))
+#endif
+    {
+#define SS_OP(name, method, kind, fu, lat, bytes, sgn, sem)              \
+        SS_FF_CASE(name) FF_##kind(bytes, sgn, sem)
+#include "isa/opcodes.def"
+
+        SS_FF_GAP
+        {
+            // Inter-section gap or the end sentinel: this PC holds no
+            // instruction, so it is not counted (Tracer fetch failure).
+            SS_FF_STOP(FfStop::UnmappedPc, pcOf(idx));
+        }
+    }
+#if !SS_FF_THREADED
+    SS_PANIC("fastfwd dispatch fell through");
+#endif
 }
 
 } // namespace specslice::arch

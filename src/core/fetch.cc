@@ -141,9 +141,7 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
             // Capture the old value for the reversal undo log.
             Addr ea = t.regs.read(si->rb) +
                       static_cast<std::uint64_t>(si->imm);
-            unsigned size = si->op == isa::Opcode::Stq   ? 8
-                            : si->op == isa::Opcode::Stl ? 4
-                                                         : 1;
+            const unsigned size = si->traits().memBytes;
             if (!arch::MemoryImage::faults(ea))
                 storeUndoLog_.push_back(
                     {di.seq, ea, size, mem_.read(ea, size)});
@@ -426,22 +424,13 @@ SmtCore::adjustSliceLoad(ThreadCtx &t, DynInst &di)
             continue;
         if (u.addr != di.fx.memAddr)
             continue;
-        std::uint64_t v = u.oldValue;
-        switch (di.si->op) {
-          case isa::Opcode::Ldq:
-            break;
-          case isa::Opcode::Ldl:
-            if (u.size < 4)
-                return;  // partial overlap: keep the raw value
-            v = static_cast<std::uint64_t>(
-                signExtend(v & 0xffffffffu, 32));
-            break;
-          case isa::Opcode::Ldbu:
-            v &= 0xff;
-            break;
-          default:
+        const isa::OpTraits &lt = di.si->traits();
+        if (!lt.writesRc)
             return;  // prefetch: value unused
-        }
+        if (u.size < lt.memBytes)
+            return;  // partial overlap: keep the raw value
+        const std::uint64_t v =
+            isa::extendLoad(u.oldValue, lt.memBytes, lt.memSigned);
         t.regs.write(di.si->rc, v);
         di.fx.value = v;
         ++s_.sliceLoadsForkAdjusted;

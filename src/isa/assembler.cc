@@ -25,128 +25,15 @@ void
 Assembler::emitBranch(Opcode op, RegIndex ra, RegIndex rc,
                       const std::string &target)
 {
-    Instruction inst;
-    inst.op = op;
-    inst.ra = ra;
-    inst.rc = rc;
     fixups_.push_back({code_.size(), target});
-    emit(inst);
+    emit({.op = op, .ra = ra, .rc = rc});
 }
 
-namespace
+void
+Assembler::mov(RegIndex rc, RegIndex ra)
 {
-
-Instruction
-rform(Opcode op, RegIndex rc, RegIndex ra, RegIndex rb)
-{
-    Instruction i;
-    i.op = op;
-    i.rc = rc;
-    i.ra = ra;
-    i.rb = rb;
-    return i;
+    or_(rc, ra, regZero);
 }
-
-Instruction
-iform(Opcode op, RegIndex rc, RegIndex ra, std::int32_t imm)
-{
-    Instruction i;
-    i.op = op;
-    i.rc = rc;
-    i.ra = ra;
-    i.imm = imm;
-    return i;
-}
-
-} // namespace
-
-// clang-format off
-void Assembler::add(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::Add, rc, ra, rb)); }
-void Assembler::sub(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::Sub, rc, ra, rb)); }
-void Assembler::and_(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::And, rc, ra, rb)); }
-void Assembler::or_(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::Or, rc, ra, rb)); }
-void Assembler::xor_(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::Xor, rc, ra, rb)); }
-void Assembler::sll(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::Sll, rc, ra, rb)); }
-void Assembler::srl(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::Srl, rc, ra, rb)); }
-void Assembler::sra(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::Sra, rc, ra, rb)); }
-void Assembler::cmpeq(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::CmpEq, rc, ra, rb)); }
-void Assembler::cmplt(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::CmpLt, rc, ra, rb)); }
-void Assembler::cmple(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::CmpLe, rc, ra, rb)); }
-void Assembler::cmpult(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::CmpUlt, rc, ra, rb)); }
-void Assembler::s4add(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::S4Add, rc, ra, rb)); }
-void Assembler::s8add(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::S8Add, rc, ra, rb)); }
-void Assembler::cmoveq(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::CmovEq, rc, ra, rb)); }
-void Assembler::cmovne(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::CmovNe, rc, ra, rb)); }
-void Assembler::cmovlt(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::CmovLt, rc, ra, rb)); }
-
-void Assembler::addi(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::AddI, rc, ra, imm)); }
-void Assembler::subi(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::SubI, rc, ra, imm)); }
-void Assembler::andi(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::AndI, rc, ra, imm)); }
-void Assembler::ori(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::OrI, rc, ra, imm)); }
-void Assembler::xori(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::XorI, rc, ra, imm)); }
-void Assembler::slli(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::SllI, rc, ra, imm)); }
-void Assembler::srli(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::SrlI, rc, ra, imm)); }
-void Assembler::srai(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::SraI, rc, ra, imm)); }
-void Assembler::cmpeqi(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::CmpEqI, rc, ra, imm)); }
-void Assembler::cmplti(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::CmpLtI, rc, ra, imm)); }
-void Assembler::cmplei(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::CmpLeI, rc, ra, imm)); }
-void Assembler::cmpulti(RegIndex rc, RegIndex ra, std::int32_t imm)
-{ emit(iform(Opcode::CmpUltI, rc, ra, imm)); }
-void Assembler::ldi(RegIndex rc, std::int32_t imm)
-{ emit(iform(Opcode::Ldi, rc, regZero, imm)); }
-void Assembler::mov(RegIndex rc, RegIndex ra)
-{ emit(rform(Opcode::Or, rc, ra, regZero)); }
-
-void Assembler::mul(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::Mul, rc, ra, rb)); }
-void Assembler::div(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::Div, rc, ra, rb)); }
-
-void Assembler::fadd(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::FAdd, rc, ra, rb)); }
-void Assembler::fsub(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::FSub, rc, ra, rb)); }
-void Assembler::fmul(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::FMul, rc, ra, rb)); }
-void Assembler::fcmplt(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::FCmpLt, rc, ra, rb)); }
-void Assembler::fcmple(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::FCmpLe, rc, ra, rb)); }
-void Assembler::fcmpeq(RegIndex rc, RegIndex ra, RegIndex rb)
-{ emit(rform(Opcode::FCmpEq, rc, ra, rb)); }
-void Assembler::cvtif(RegIndex rc, RegIndex ra)
-{ emit(rform(Opcode::CvtIF, rc, ra, regZero)); }
-void Assembler::cvtfi(RegIndex rc, RegIndex ra)
-{ emit(rform(Opcode::CvtFI, rc, ra, regZero)); }
-// clang-format on
 
 void
 Assembler::ldi64(RegIndex rc, std::uint64_t value)
@@ -166,107 +53,52 @@ Assembler::ldi64(RegIndex rc, std::uint64_t value)
     ori(rc, rc, static_cast<std::int32_t>(value & 0xffff));
 }
 
-namespace
+void
+Assembler::br(const std::string &t)
 {
-
-Instruction
-memform(Opcode op, RegIndex rv, RegIndex rb, std::int32_t off, bool load)
-{
-    Instruction i;
-    i.op = op;
-    i.rb = rb;
-    i.imm = off;
-    if (load)
-        i.rc = rv;
-    else
-        i.ra = rv;
-    return i;
+    emitBranch(Opcode::Br, regZero, regZero, t);
 }
 
-} // namespace
-
-// clang-format off
-void Assembler::ldq(RegIndex rc, RegIndex rb, std::int32_t off)
-{ emit(memform(Opcode::Ldq, rc, rb, off, true)); }
-void Assembler::ldl(RegIndex rc, RegIndex rb, std::int32_t off)
-{ emit(memform(Opcode::Ldl, rc, rb, off, true)); }
-void Assembler::ldbu(RegIndex rc, RegIndex rb, std::int32_t off)
-{ emit(memform(Opcode::Ldbu, rc, rb, off, true)); }
-void Assembler::stq(RegIndex ra, RegIndex rb, std::int32_t off)
-{ emit(memform(Opcode::Stq, ra, rb, off, false)); }
-void Assembler::stl(RegIndex ra, RegIndex rb, std::int32_t off)
-{ emit(memform(Opcode::Stl, ra, rb, off, false)); }
-void Assembler::stb(RegIndex ra, RegIndex rb, std::int32_t off)
-{ emit(memform(Opcode::Stb, ra, rb, off, false)); }
-void Assembler::prefetch(RegIndex rb, std::int32_t off)
-{ emit(memform(Opcode::Prefetch, regZero, rb, off, true)); }
-
-void Assembler::beq(RegIndex ra, const std::string &t)
-{ emitBranch(Opcode::Beq, ra, regZero, t); }
-void Assembler::bne(RegIndex ra, const std::string &t)
-{ emitBranch(Opcode::Bne, ra, regZero, t); }
-void Assembler::blt(RegIndex ra, const std::string &t)
-{ emitBranch(Opcode::Blt, ra, regZero, t); }
-void Assembler::ble(RegIndex ra, const std::string &t)
-{ emitBranch(Opcode::Ble, ra, regZero, t); }
-void Assembler::bgt(RegIndex ra, const std::string &t)
-{ emitBranch(Opcode::Bgt, ra, regZero, t); }
-void Assembler::bge(RegIndex ra, const std::string &t)
-{ emitBranch(Opcode::Bge, ra, regZero, t); }
-void Assembler::br(const std::string &t)
-{ emitBranch(Opcode::Br, regZero, regZero, t); }
-void Assembler::call(const std::string &t, RegIndex rc)
-{ emitBranch(Opcode::Call, regZero, rc, t); }
-// clang-format on
+void
+Assembler::call(const std::string &t, RegIndex rc)
+{
+    emitBranch(Opcode::Call, regZero, rc, t);
+}
 
 void
 Assembler::jmp(RegIndex ra)
 {
-    Instruction i;
-    i.op = Opcode::Jmp;
-    i.ra = ra;
-    emit(i);
+    emit({.op = Opcode::Jmp, .ra = ra});
 }
 
 void
 Assembler::callr(RegIndex rb, RegIndex rc)
 {
-    Instruction i;
-    i.op = Opcode::CallR;
-    i.rb = rb;
-    i.rc = rc;
-    emit(i);
+    emit({.op = Opcode::CallR, .rb = rb, .rc = rc});
 }
 
 void
 Assembler::ret(RegIndex ra)
 {
-    Instruction i;
-    i.op = Opcode::Ret;
-    i.ra = ra;
-    emit(i);
+    emit({.op = Opcode::Ret, .ra = ra});
 }
 
 void
 Assembler::nop()
 {
-    emit(Instruction{});
+    emit({.op = Opcode::Nop});
 }
 
 void
 Assembler::halt()
 {
-    Instruction i;
-    i.op = Opcode::Halt;
-    emit(i);
+    emit({.op = Opcode::Halt});
 }
 
 void
 Assembler::sliceEnd()
 {
-    Instruction i;
-    i.op = Opcode::SliceEnd;
-    emit(i);
+    emit({.op = Opcode::SliceEnd});
 }
 
 CodeSection

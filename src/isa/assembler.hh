@@ -44,74 +44,94 @@ class Assembler
     /** @return the address of the next instruction to be emitted. */
     Addr here() const { return base_ + code_.size() * instBytes; }
 
-    // Integer ALU, register form.
-    void add(RegIndex rc, RegIndex ra, RegIndex rb);
-    void sub(RegIndex rc, RegIndex ra, RegIndex rb);
-    void and_(RegIndex rc, RegIndex ra, RegIndex rb);
-    void or_(RegIndex rc, RegIndex ra, RegIndex rb);
-    void xor_(RegIndex rc, RegIndex ra, RegIndex rb);
-    void sll(RegIndex rc, RegIndex ra, RegIndex rb);
-    void srl(RegIndex rc, RegIndex ra, RegIndex rb);
-    void sra(RegIndex rc, RegIndex ra, RegIndex rb);
-    void cmpeq(RegIndex rc, RegIndex ra, RegIndex rb);
-    void cmplt(RegIndex rc, RegIndex ra, RegIndex rb);
-    void cmple(RegIndex rc, RegIndex ra, RegIndex rb);
-    void cmpult(RegIndex rc, RegIndex ra, RegIndex rb);
-    void s4add(RegIndex rc, RegIndex ra, RegIndex rb);
-    void s8add(RegIndex rc, RegIndex ra, RegIndex rb);
-    void cmoveq(RegIndex rc, RegIndex ra, RegIndex rb);
-    void cmovne(RegIndex rc, RegIndex ra, RegIndex rb);
-    void cmovlt(RegIndex rc, RegIndex ra, RegIndex rb);
+    /*
+     * One emitter per regular-form row of isa/opcodes.def, named by
+     * its method column and shaped by its kind:
+     *   AluRR/Cmov  add(rc, ra, rb)      AluR      cvtif(rc, ra)
+     *   AluRI       addi(rc, ra, imm)    AluI      ldi(rc, imm)
+     *   Load        ldq(rc, rb, off)     Store     stq(ra, rb, off)
+     *   Prefetch    prefetch(rb, off)    CondBr    beq(ra, label)
+     * Register fields an emitter does not take stay the zero register.
+     * The irregular kinds' emitters are written out below.
+     */
+#define SS_OP(name, method, kind, ...) SS_ASM_##kind(Opcode::name, method)
+#define SS_ASM_AluRR(opc, fn)                                         \
+    void fn(RegIndex rc, RegIndex ra, RegIndex rb)                    \
+    {                                                                 \
+        emit({.op = opc, .ra = ra, .rb = rb, .rc = rc});              \
+    }
+#define SS_ASM_Cmov SS_ASM_AluRR
+#define SS_ASM_AluR(opc, fn)                                          \
+    void fn(RegIndex rc, RegIndex ra)                                 \
+    {                                                                 \
+        emit({.op = opc, .ra = ra, .rc = rc});                        \
+    }
+#define SS_ASM_AluRI(opc, fn)                                         \
+    void fn(RegIndex rc, RegIndex ra, std::int32_t imm)               \
+    {                                                                 \
+        emit({.op = opc, .ra = ra, .rc = rc, .imm = imm});            \
+    }
+#define SS_ASM_AluI(opc, fn)                                          \
+    void fn(RegIndex rc, std::int32_t imm)                            \
+    {                                                                 \
+        emit({.op = opc, .rc = rc, .imm = imm});                      \
+    }
+#define SS_ASM_Load(opc, fn)                                          \
+    void fn(RegIndex rc, RegIndex rb, std::int32_t off)               \
+    {                                                                 \
+        emit({.op = opc, .rb = rb, .rc = rc, .imm = off});            \
+    }
+#define SS_ASM_Store(opc, fn)                                         \
+    void fn(RegIndex ra, RegIndex rb, std::int32_t off)               \
+    {                                                                 \
+        emit({.op = opc, .ra = ra, .rb = rb, .imm = off});            \
+    }
+#define SS_ASM_Prefetch(opc, fn)                                      \
+    void fn(RegIndex rb, std::int32_t off)                            \
+    {                                                                 \
+        emit({.op = opc, .rb = rb, .imm = off});                      \
+    }
+#define SS_ASM_CondBr(opc, fn)                                        \
+    void fn(RegIndex ra, const std::string &target)                   \
+    {                                                                 \
+        emitBranch(opc, ra, regZero, target);                         \
+    }
+#define SS_ASM_Irregular(opc, fn)
+#define SS_ASM_Br SS_ASM_Irregular
+#define SS_ASM_Call SS_ASM_Irregular
+#define SS_ASM_Jmp SS_ASM_Irregular
+#define SS_ASM_CallR SS_ASM_Irregular
+#define SS_ASM_Ret SS_ASM_Irregular
+#define SS_ASM_Nop SS_ASM_Irregular
+#define SS_ASM_Halt SS_ASM_Irregular
+#define SS_ASM_SliceEnd SS_ASM_Irregular
+#include "isa/opcodes.def"
+#undef SS_ASM_AluRR
+#undef SS_ASM_Cmov
+#undef SS_ASM_AluR
+#undef SS_ASM_AluRI
+#undef SS_ASM_AluI
+#undef SS_ASM_Load
+#undef SS_ASM_Store
+#undef SS_ASM_Prefetch
+#undef SS_ASM_CondBr
+#undef SS_ASM_Irregular
+#undef SS_ASM_Br
+#undef SS_ASM_Call
+#undef SS_ASM_Jmp
+#undef SS_ASM_CallR
+#undef SS_ASM_Ret
+#undef SS_ASM_Nop
+#undef SS_ASM_Halt
+#undef SS_ASM_SliceEnd
 
-    // Integer ALU, immediate form.
-    void addi(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void subi(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void andi(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void ori(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void xori(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void slli(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void srli(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void srai(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void cmpeqi(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void cmplti(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void cmplei(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void cmpulti(RegIndex rc, RegIndex ra, std::int32_t imm);
-    void ldi(RegIndex rc, std::int32_t imm);
     /** Load a full 64-bit constant (ldi + shifts as needed). */
     void ldi64(RegIndex rc, std::uint64_t value);
     /** Copy register (or_ with zero). */
     void mov(RegIndex rc, RegIndex ra);
 
-    // Complex integer.
-    void mul(RegIndex rc, RegIndex ra, RegIndex rb);
-    void div(RegIndex rc, RegIndex ra, RegIndex rb);
-
-    // Floating point (double bit patterns in integer registers).
-    void fadd(RegIndex rc, RegIndex ra, RegIndex rb);
-    void fsub(RegIndex rc, RegIndex ra, RegIndex rb);
-    void fmul(RegIndex rc, RegIndex ra, RegIndex rb);
-    void fcmplt(RegIndex rc, RegIndex ra, RegIndex rb);
-    void fcmple(RegIndex rc, RegIndex ra, RegIndex rb);
-    void fcmpeq(RegIndex rc, RegIndex ra, RegIndex rb);
-    void cvtif(RegIndex rc, RegIndex ra);
-    void cvtfi(RegIndex rc, RegIndex ra);
-
-    // Memory.
-    void ldq(RegIndex rc, RegIndex rb, std::int32_t off);
-    void ldl(RegIndex rc, RegIndex rb, std::int32_t off);
-    void ldbu(RegIndex rc, RegIndex rb, std::int32_t off);
-    void stq(RegIndex ra, RegIndex rb, std::int32_t off);
-    void stl(RegIndex ra, RegIndex rb, std::int32_t off);
-    void stb(RegIndex ra, RegIndex rb, std::int32_t off);
-    void prefetch(RegIndex rb, std::int32_t off);
-
-    // Control (targets are labels; forward references allowed).
-    void beq(RegIndex ra, const std::string &target);
-    void bne(RegIndex ra, const std::string &target);
-    void blt(RegIndex ra, const std::string &target);
-    void ble(RegIndex ra, const std::string &target);
-    void bgt(RegIndex ra, const std::string &target);
-    void bge(RegIndex ra, const std::string &target);
+    // Irregular control (targets are labels; forward references
+    // allowed, as for the conditional branches).
     void br(const std::string &target);
     void call(const std::string &target, RegIndex rc = regLink);
     void jmp(RegIndex ra);

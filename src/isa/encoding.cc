@@ -9,8 +9,6 @@ namespace specslice::isa
 std::uint64_t
 encode(const Instruction &inst, Addr pc)
 {
-    const OpTraits &t = inst.traits();
-
     std::uint32_t imm_field;
     if (inst.hasStaticTarget()) {
         std::int64_t disp =
@@ -30,7 +28,6 @@ encode(const Instruction &inst, Addr pc)
     word |= static_cast<std::uint64_t>(inst.rb & 0x3f) << 42;
     word |= static_cast<std::uint64_t>(inst.rc & 0x3f) << 36;
     word |= imm_field;
-    (void)t;
     return word;
 }
 

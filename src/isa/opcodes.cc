@@ -1,5 +1,7 @@
 #include "isa/opcodes.hh"
 
+#include <string_view>
+
 #include "common/logging.hh"
 
 namespace specslice::isa
@@ -8,79 +10,99 @@ namespace specslice::isa
 namespace
 {
 
-// Shorthand flags for table readability.
-constexpr bool Y = true;
-constexpr bool N = false;
-
-// One row per opcode, in enum order.
-//                         mnem        fu                    lat ld st cbr ubr ind call ret wRc rRa rRb rRc imm
-const OpTraits traitTable[] = {
-    {"add",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"sub",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"and",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"or",      FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"xor",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"sll",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"srl",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"sra",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmpeq",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmplt",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmple",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmpult",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"s4add",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"s8add",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmoveq",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, Y, N},
-    {"cmovne",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, Y, N},
-    {"cmovlt",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, Y, N},
-    {"addi",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"subi",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"andi",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"ori",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"xori",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"slli",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"srli",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"srai",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmpeqi",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmplti",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmplei",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmpulti", FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"ldi",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, N, N, N, Y},
-    {"mul",     FuClass::IntComplex, 7, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"div",     FuClass::IntComplex,20, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fadd",    FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fsub",    FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fmul",    FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fcmplt",  FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fcmple",  FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fcmpeq",  FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cvtif",   FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, N, N, N},
-    {"cvtfi",   FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, N, N, N},
-    {"ldq",     FuClass::MemPort,    3, Y, N, N, N, N, N, N, Y, N, Y, N, Y},
-    {"ldl",     FuClass::MemPort,    3, Y, N, N, N, N, N, N, Y, N, Y, N, Y},
-    {"ldbu",    FuClass::MemPort,    3, Y, N, N, N, N, N, N, Y, N, Y, N, Y},
-    {"stq",     FuClass::MemPort,    1, N, Y, N, N, N, N, N, N, Y, Y, N, Y},
-    {"stl",     FuClass::MemPort,    1, N, Y, N, N, N, N, N, N, Y, Y, N, Y},
-    {"stb",     FuClass::MemPort,    1, N, Y, N, N, N, N, N, N, Y, Y, N, Y},
-    {"prefetch",FuClass::MemPort,    3, Y, N, N, N, N, N, N, N, N, Y, N, Y},
-    {"beq",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"bne",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"blt",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"ble",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"bgt",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"bge",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"br",      FuClass::Branch,     1, N, N, N, Y, N, N, N, N, N, N, N, N},
-    {"call",    FuClass::Branch,     1, N, N, N, Y, N, Y, N, Y, N, N, N, N},
-    {"jmp",     FuClass::Branch,     1, N, N, N, N, Y, N, N, N, Y, N, N, N},
-    {"callr",   FuClass::Branch,     1, N, N, N, N, Y, Y, N, Y, N, Y, N, N},
-    {"ret",     FuClass::Branch,     1, N, N, N, N, Y, N, Y, N, Y, N, N, N},
-    {"nop",     FuClass::None,       1, N, N, N, N, N, N, N, N, N, N, N, N},
-    {"halt",    FuClass::None,       1, N, N, N, N, N, N, N, N, N, N, N, N},
-    {"slice_end",FuClass::None,      1, N, N, N, N, N, N, N, N, N, N, N, N},
+/**
+ * An opcodes.def row's kind: its operand format, which trait flags
+ * it has, and the skeleton arch::execute, FastForward and the
+ * assembler expand it with (they paste the kind's name onto their
+ * own per-kind macros).
+ */
+enum class OpKind : std::uint8_t
+{
+    AluRR,      ///< rc = sem(ra, rb)
+    AluR,       ///< rc = sem(ra)
+    AluRI,      ///< rc = sem(ra, imm)
+    AluI,       ///< rc = sem(imm)
+    Cmov,       ///< rc = rb if sem(ra); rc is also a source
+    Load,       ///< rc = extend(MEM[rb + imm])
+    Store,      ///< MEM[rb + imm] = ra
+    Prefetch,   ///< load-like, no destination
+    CondBr,     ///< pc = target if sem(ra)
+    Br,         ///< unconditional direct
+    Call,       ///< direct call: rc = return address, pc = target
+    Jmp,        ///< unconditional indirect: pc = ra
+    CallR,      ///< indirect call: rc = return address, pc = rb
+    Ret,        ///< indirect return: pc = ra (pops RAS)
+    Nop,
+    Halt,       ///< terminates the main program
+    SliceEnd,   ///< terminates a helper (slice) thread
 };
 
-static_assert(sizeof(traitTable) / sizeof(traitTable[0]) ==
-                  static_cast<std::size_t>(Opcode::NumOpcodes),
-              "trait table out of sync with Opcode enum");
+/** A row's mnemonic: its emitter name less any trailing '_'. */
+struct Mnemonic
+{
+    char text[12] = {};
+};
+
+constexpr Mnemonic
+mnemonicOf(std::string_view method)
+{
+    if (method.ends_with('_'))
+        method.remove_suffix(1);
+    if (method.size() >= sizeof(Mnemonic::text))
+        throw "mnemonic too long";  // fails the build: constant-evaluated
+    Mnemonic m;
+    method.copy(m.text, sizeof(m.text) - 1);
+    return m;
+}
+
+constexpr Mnemonic mnemonics[] = {
+#define SS_OP(name, method, ...) mnemonicOf(#method),
+#include "isa/opcodes.def"
+};
+
+template <typename... Kinds>
+constexpr bool
+isOneOf(OpKind k, Kinds... kinds)
+{
+    return ((k == kinds) || ...);
+}
+
+/** The trait flags follow from the kind. */
+constexpr OpTraits
+makeTraits(Opcode op, OpKind k, FuClass fu, unsigned latency,
+           unsigned mem_bytes, bool mem_signed)
+{
+    using K = OpKind;
+    OpTraits t{};
+    t.mnemonic = mnemonics[static_cast<std::size_t>(op)].text;
+    t.fu = fu;
+    t.latency = static_cast<std::uint8_t>(latency);
+    t.memBytes = static_cast<std::uint8_t>(mem_bytes);
+    t.memSigned = mem_signed;
+    t.isLoad = isOneOf(k, K::Load, K::Prefetch);
+    t.isStore = k == K::Store;
+    t.isCondBranch = k == K::CondBr;
+    t.isUncondDirect = isOneOf(k, K::Br, K::Call);
+    t.isIndirect = isOneOf(k, K::Jmp, K::CallR, K::Ret);
+    t.isCall = isOneOf(k, K::Call, K::CallR);
+    t.isReturn = k == K::Ret;
+    t.writesRc = isOneOf(k, K::AluRR, K::AluR, K::AluRI, K::AluI,
+                         K::Cmov, K::Load, K::Call, K::CallR);
+    t.readsRa = isOneOf(k, K::AluRR, K::AluR, K::AluRI, K::Cmov,
+                        K::Store, K::CondBr, K::Jmp, K::Ret);
+    t.readsRb = isOneOf(k, K::AluRR, K::Cmov, K::Load, K::Store,
+                        K::Prefetch, K::CallR);
+    t.readsRc = k == K::Cmov;
+    t.hasImm = isOneOf(k, K::AluRI, K::AluI, K::Load, K::Store,
+                       K::Prefetch);
+    return t;
+}
+
+constexpr OpTraits traitTable[] = {
+#define SS_OP(name, method, kind, fu, lat, bytes, sgn, sem)              \
+    makeTraits(Opcode::name, OpKind::kind, FuClass::fu, lat, bytes, sgn),
+#include "isa/opcodes.def"
+};
 
 } // namespace
 

@@ -37,50 +37,11 @@ constexpr std::uint8_t regZero = 63;
 /** Conventional link (return-address) register. */
 constexpr std::uint8_t regLink = 62;
 
-/** Every operation in the zsr ISA. */
+/** Every operation in the zsr ISA, numbered by isa/opcodes.def. */
 enum class Opcode : std::uint16_t
 {
-    // Simple integer ALU, register form.
-    Add, Sub, And, Or, Xor, Sll, Srl, Sra,
-    CmpEq, CmpLt, CmpLe, CmpUlt,
-    S4Add,          ///< rc = (ra << 2) + rb
-    S8Add,          ///< rc = (ra << 3) + rb
-    CmovEq,         ///< rc = rb if ra == 0 (rc also a source)
-    CmovNe,         ///< rc = rb if ra != 0 (rc also a source)
-    CmovLt,         ///< rc = rb if ra <  0 (rc also a source)
-    // Simple integer ALU, immediate form.
-    AddI, SubI, AndI, OrI, XorI, SllI, SrlI, SraI,
-    CmpEqI, CmpLtI, CmpLeI, CmpUltI,
-    Ldi,            ///< rc = sign-extended imm
-    // Complex integer (single complex unit, long latency).
-    Mul, Div,
-    // Floating point (operands are double bit patterns).
-    FAdd, FSub, FMul,
-    FCmpLt,         ///< rc = (double)ra <  (double)rb ? 1 : 0
-    FCmpLe,         ///< rc = (double)ra <= (double)rb ? 1 : 0
-    FCmpEq,         ///< rc = (double)ra == (double)rb ? 1 : 0
-    CvtIF,          ///< rc = bits(double(int64(ra)))
-    CvtFI,          ///< rc = int64(double-bits(ra))
-    // Memory.
-    Ldq,            ///< rc = MEM64[rb + imm]
-    Ldl,            ///< rc = sign-extended MEM32[rb + imm]
-    Ldbu,           ///< rc = zero-extended MEM8[rb + imm]
-    Stq,            ///< MEM64[rb + imm] = ra
-    Stl,            ///< MEM32[rb + imm] = low32(ra)
-    Stb,            ///< MEM8[rb + imm] = low8(ra)
-    Prefetch,       ///< load-like, no destination, never faults
-    // Control.
-    Beq, Bne, Blt, Ble, Bgt, Bge,   ///< conditional on ra vs zero
-    Br,             ///< unconditional direct
-    Call,           ///< direct call: rc = return address, pc = target
-    Jmp,            ///< unconditional indirect: pc = ra
-    CallR,          ///< indirect call: rc = return address, pc = rb
-    Ret,            ///< indirect return: pc = ra (pops RAS)
-    // Misc.
-    Nop,
-    Halt,           ///< terminates the main program
-    SliceEnd,       ///< terminates a helper (slice) thread
-
+#define SS_OP(name, ...) name,
+#include "isa/opcodes.def"
     NumOpcodes
 };
 
@@ -101,6 +62,8 @@ struct OpTraits
     const char *mnemonic;
     FuClass fu;
     std::uint8_t latency;    ///< execute latency in cycles
+    std::uint8_t memBytes;   ///< access width of memory ops, else 0
+    bool memSigned;          ///< narrow load sign- (not zero-) extends
     bool isLoad;
     bool isStore;
     bool isCondBranch;
@@ -117,6 +80,18 @@ struct OpTraits
 
 /** @return the static traits of op. */
 const OpTraits &opTraits(Opcode op);
+
+/** @return the register value a load of the given width and
+ *  extension produces from raw, the zero-extended bytes it read. */
+constexpr std::uint64_t
+extendLoad(std::uint64_t raw, unsigned bytes, bool sign_extend)
+{
+    if (bytes >= 8)
+        return raw;
+    const std::uint64_t low = raw & ((std::uint64_t{1} << 8 * bytes) - 1);
+    const std::uint64_t sign = std::uint64_t{1} << (8 * bytes - 1);
+    return sign_extend ? (low ^ sign) - sign : low;
+}
 
 /** @return true if op transfers control (any branch/jump/call/ret). */
 inline bool

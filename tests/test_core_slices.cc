@@ -343,3 +343,111 @@ TEST(CoreSlices, SmtRunsConcurrently)
     // values are unchanged (spot check: head pointer intact).
     EXPECT_EQ(mem.readQ(dataBase), dataBase + 0x1000);
 }
+
+namespace
+{
+
+/**
+ * A loop whose slice reads a word the main thread overwrites right
+ * after the fork. Main: load the element, fork, store a new value over
+ * it with store_width bytes, then branch on bit 32 of the *loaded*
+ * (pre-store) value. The slice predicts that branch from its own ldq
+ * of the same element. The functional model commits the store at
+ * fetch, before the slice load executes, so the slice sees the right
+ * bit only if its load is rebuilt from the store-undo log.
+ */
+core::RunResult
+runStoreRace(unsigned store_width)
+{
+    constexpr unsigned elements = 600;
+    Assembler as(codeBase);
+    as.label("start");
+    as.ldi64(30, dataBase);
+    as.ldi(2, elements);
+    as.ldi64(8, 0x100000001ull);    // flips bit 32 and bit 0
+    as.label("loop");
+    as.ldq(5, 30, 0);                // pre-store value
+    as.xor_(6, 5, 8);
+    as.label("fork_pt");
+    as.nop();
+    if (store_width == 8)
+        as.stq(6, 30, 0);
+    else
+        as.stl(6, 30, 0);            // leaves bit 32 as it was
+    for (int i = 0; i < 10; ++i)
+        as.addi(9, 9, 1);
+    as.srli(7, 5, 32);
+    as.andi(7, 7, 1);
+    as.label("problem_branch");
+    as.beq(7, "skip");
+    as.addi(25, 25, 1);
+    as.label("skip");
+    as.addi(30, 30, 8);
+    as.subi(2, 2, 1);
+    as.label("region_end");
+    as.bgt(2, "loop");
+    as.halt();
+    Program prog;
+    prog.addSection(as.finish());
+    auto sym = as.symbols();
+
+    Assembler sl(sliceBase);
+    sl.label("slice");
+    sl.ldq(15, 30, 0);
+    sl.srli(16, 15, 32);
+    sl.label("slice_pgi");
+    sl.andi(regZero, 16, 1);
+    sl.sliceEnd();
+    prog.addSection(sl.finish());
+    auto ssym = sl.symbols();
+
+    slice::SliceDescriptor sd;
+    sd.name = "store_race";
+    sd.forkPc = sym.at("fork_pt");
+    sd.slicePc = ssym.at("slice");
+    sd.liveIns = {30};
+    sd.staticSize = 4;
+    slice::PgiSpec pgi;
+    pgi.sliceInstPc = ssym.at("slice_pgi");
+    pgi.problemBranchPc = sym.at("problem_branch");
+    pgi.invert = true;  // beq taken iff bit 32 is clear
+    pgi.sliceKillPc = sym.at("region_end");
+    sd.pgis = {pgi};
+
+    arch::MemoryImage mem;
+    std::uint64_t x = 88172645463325252ull;
+    for (unsigned i = 0; i < elements; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        mem.writeQ(dataBase + 8 * i, x);
+    }
+    core::SmtCore machine(core::CoreConfig::fourWide(), prog, mem);
+    machine.loadSlice(sd);
+    return machine.run(sym.at("start"), quickOpts());
+}
+
+} // namespace
+
+TEST(CoreSlices, SliceLoadSeesValueAsOfFork)
+{
+    // Same-width store: the slice must read the pre-store value.
+    core::RunResult res = runStoreRace(8);
+    EXPECT_GT(res.forks, 100u);
+    EXPECT_GT(res.detail.get("slice_loads_fork_adjusted"), 100u);
+    EXPECT_GT(res.correlatorUsed + res.latePredictions, 100u);
+    EXPECT_EQ(res.correlatorWrong, 0u);
+}
+
+TEST(CoreSlices, NarrowerStoreLeavesSliceLoadRaw)
+{
+    // A 4-byte store under an 8-byte load cannot be undone from the
+    // log's 4-byte old value, so the load keeps the raw value, whose
+    // bit 32 the store did not touch. Rebuilding it from the narrow
+    // old value would zero bit 32 and mispredict.
+    core::RunResult res = runStoreRace(4);
+    EXPECT_GT(res.forks, 100u);
+    EXPECT_EQ(res.detail.get("slice_loads_fork_adjusted"), 0u);
+    EXPECT_GT(res.correlatorUsed + res.latePredictions, 100u);
+    EXPECT_EQ(res.correlatorWrong, 0u);
+}

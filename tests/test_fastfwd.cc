@@ -269,3 +269,75 @@ TEST(FastForwardTest, RecordsInstructionLineWarmth)
     ff.reset(wl.entry);
     EXPECT_TRUE(ff.instWarmth().empty());
 }
+
+TEST(FastForwardTest, SparseProgramMatchesTracer)
+{
+    // Two sections further apart than the decode array covers, so the
+    // engine runs its program.fetch + arch::execute path. Main calls
+    // across the gap each iteration; the far routine loops, loads,
+    // stores and returns.
+    constexpr Addr dataBase = 0x100000;
+    constexpr Addr farBase =
+        codeBase + (isa::Program::flatIndexLimit + 64) * isa::instBytes;
+
+    isa::Assembler as(codeBase);
+    as.ldi64(30, dataBase);
+    as.ldi64(20, farBase);
+    as.ldi(2, 300);
+    as.label("loop");
+    as.ldq(5, 30, 0);
+    as.addi(5, 5, 3);
+    as.callr(20);
+    as.stq(5, 30, 0);
+    as.addi(30, 30, 8);
+    as.subi(2, 2, 1);
+    as.bgt(2, "loop");
+    as.halt();
+
+    isa::Assembler far(farBase);
+    far.ldi(3, 4);
+    far.label("inner");
+    far.slli(6, 5, 3);
+    far.xor_(5, 5, 6);
+    far.ldbu(7, 30, 3);
+    far.add(5, 5, 7);
+    far.stb(5, 30, 8);
+    far.subi(3, 3, 1);
+    far.bgt(3, "inner");
+    far.ret();
+
+    isa::Program prog;
+    prog.addSection(as.finish());
+    prog.addSection(far.finish());
+
+    auto init = [](arch::MemoryImage &mem) {
+        for (unsigned i = 0; i < 400; ++i)
+            mem.writeQ(dataBase + 8 * i, 0x9e3779b97f4a7c15ull * (i + 1));
+    };
+
+    // A budget stop mid-run, then a run to the halt.
+    for (auto [budget, reason] :
+         {std::pair{1'234ull, arch::TraceStop::MaxInsts},
+          std::pair{100'000ull, arch::TraceStop::Halted}}) {
+        SCOPED_TRACE(budget);
+        arch::RegFile ref_regs;
+        arch::MemoryImage ref_mem;
+        init(ref_mem);
+        arch::TraceResult ref =
+            arch::trace(prog, codeBase, ref_regs, ref_mem, budget,
+                        [](const arch::TraceEvent &) {});
+        ASSERT_EQ(ref.reason, reason);
+
+        arch::FastForward ff(prog);
+        ff.reset(codeBase);
+        init(ff.mem());
+        EXPECT_EQ(ff.advance(budget), expectedStop(ref.reason));
+        EXPECT_EQ(ff.executed(), ref.count);
+        EXPECT_EQ(ff.pc(), ref.finalPc);
+        for (unsigned r = 0; r < isa::numRegs; ++r)
+            ASSERT_EQ(ff.regs().read(static_cast<RegIndex>(r)),
+                      ref_regs.read(static_cast<RegIndex>(r)))
+                << "register " << r;
+        EXPECT_EQ(ff.mem().contentHash(), ref_mem.contentHash());
+    }
+}

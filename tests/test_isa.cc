@@ -30,6 +30,24 @@ TEST(OpTraits, EveryOpcodeHasTraits)
     }
 }
 
+TEST(OpTraits, MnemonicsAndMemoryWidths)
+{
+    EXPECT_STREQ(opTraits(Opcode::Add).mnemonic, "add");
+    EXPECT_STREQ(opTraits(Opcode::And).mnemonic, "and");
+    EXPECT_STREQ(opTraits(Opcode::Xor).mnemonic, "xor");
+    EXPECT_STREQ(opTraits(Opcode::Prefetch).mnemonic, "prefetch");
+    EXPECT_STREQ(opTraits(Opcode::SliceEnd).mnemonic, "slice_end");
+    EXPECT_EQ(opTraits(Opcode::Add).memBytes, 0u);
+    EXPECT_EQ(opTraits(Opcode::Ldq).memBytes, 8u);
+    EXPECT_EQ(opTraits(Opcode::Ldl).memBytes, 4u);
+    EXPECT_TRUE(opTraits(Opcode::Ldl).memSigned);
+    EXPECT_EQ(opTraits(Opcode::Ldbu).memBytes, 1u);
+    EXPECT_FALSE(opTraits(Opcode::Ldbu).memSigned);
+    EXPECT_EQ(opTraits(Opcode::Stl).memBytes, 4u);
+    EXPECT_EQ(opTraits(Opcode::Stb).memBytes, 1u);
+    EXPECT_EQ(opTraits(Opcode::Prefetch).memBytes, 8u);
+}
+
 TEST(OpTraits, ClassPredicates)
 {
     EXPECT_TRUE(opTraits(Opcode::Ldq).isLoad);
@@ -79,16 +97,20 @@ TEST_P(EncodingRoundTrip, RandomFieldsSurvive)
 
         Instruction back = decode(encode(inst, pc), pc);
         EXPECT_EQ(back.op, inst.op);
-        if (t.readsRa || t.isCondBranch)
+        if (t.readsRa || t.isCondBranch) {
             EXPECT_EQ(back.ra, inst.ra);
-        if (t.readsRb)
+        }
+        if (t.readsRb) {
             EXPECT_EQ(back.rb, inst.rb);
-        if (t.writesRc || t.readsRc)
+        }
+        if (t.writesRc || t.readsRc) {
             EXPECT_EQ(back.rc, inst.rc);
-        if (t.isCondBranch || t.isUncondDirect)
+        }
+        if (t.isCondBranch || t.isUncondDirect) {
             EXPECT_EQ(back.target, inst.target);
-        else if (t.hasImm)
+        } else if (t.hasImm) {
             EXPECT_EQ(back.imm, inst.imm);
+        }
     }
 }
 
