@@ -205,9 +205,9 @@ jobsOption(int argc, char **argv)
  * Parse a `--cache DIR` / `--cache=DIR` option (any position), falling
  * back to the SS_CACHE_DIR environment variable. Returns the opened
  * content-addressed result store, or nullptr when neither source names
- * a directory. Point it at a shared store (.sscache by convention, as
- * specslice_verify --serve uses) and a bench rerun serves every
- * unchanged cell from disk.
+ * a directory. specslice_verify opens its cache the same way. Point
+ * it at a shared store (.sscache by convention) and a bench rerun
+ * serves every unchanged cell from disk.
  */
 inline std::unique_ptr<sim::ResultCache>
 openCacheOption(int argc, char **argv)

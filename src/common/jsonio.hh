@@ -100,7 +100,12 @@ class JsonObject
     JsonObject &
     field(const std::string &key, const std::string &v)
     {
-        return raw(key, "\"" + jsonEscape(v) + "\"");
+        // Appending rather than `"\"" + ... + "\""` keeps gcc 12's
+        // -Wrestrict false positive out of every includer.
+        std::string quoted(1, '"');
+        quoted += jsonEscape(v);
+        quoted += '"';
+        return raw(key, quoted);
     }
 
     /** Insert a pre-rendered JSON value (object, array, number). */

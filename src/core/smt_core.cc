@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "check/checker.hh"
-#include "common/failure.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
 
@@ -257,7 +256,8 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
     const Cycle iv_cycles = opts.intervalCycles;
     IntervalState iv;
     // When the caller provides a sink, accumulate directly into it so
-    // partial windows are visible to crash-dump handlers mid-run.
+    // a caller that catches a mid-run SimError keeps the partial
+    // windows.
     std::vector<obs::IntervalRecord> local_intervals;
     std::vector<obs::IntervalRecord> &intervals =
         opts.intervalSink ? *opts.intervalSink : local_intervals;
@@ -295,10 +295,6 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
             outcome = SimOutcome::Watchdog;
             break;
         }
-        // Cooperative cancellation (JobPool deadlines): one TLS load
-        // every 8K cycles.
-        if ((cycle_ & 0x1fff) == 0)
-            throwIfCancelled("core run");
 
         if (!warm && mainRetired_ >= opts.warmupInstructions) {
             warm = true;

@@ -69,7 +69,8 @@ struct PcProfile
  * How a simulation run ended. Anything but Completed means the
  * reported stats cover a truncated or perturbed run; tools surface
  * the outcome in --stats/--json and exit non-zero unless explicitly
- * told a partial result is acceptable.
+ * told a partial result is acceptable. Declared from least to most
+ * severe; worseOutcome() relies on the order.
  */
 enum class SimOutcome
 {
@@ -82,6 +83,14 @@ enum class SimOutcome
 
 /** Stable lower-case name for JSON/stats output. */
 const char *outcomeName(SimOutcome outcome);
+
+/** The more severe of two outcomes. Region aggregation and multi-run
+ *  documents both report the worst outcome through this. */
+inline SimOutcome
+worseOutcome(SimOutcome a, SimOutcome b)
+{
+    return b > a ? b : a;
+}
 
 /**
  * The hard cycle limit used when RunOptions::maxCycles is 0: 50 cycles
@@ -115,8 +124,8 @@ struct RunOptions
     /**
      * When set, the interval time-series is accumulated directly into
      * this caller-owned vector instead of run()-local storage, so a
-     * crash-dump handler can flush the partial series even if run()
-     * never returns. RunResult::intervals is still populated.
+     * caller that catches a SimError thrown mid-run can still write
+     * the partial series. RunResult::intervals is still populated.
      */
     std::vector<obs::IntervalRecord> *intervalSink = nullptr;
     /** Run this many main-thread instructions before resetting stats

@@ -177,10 +177,13 @@ describeSpec(const FaultSpec &spec)
     std::string out = siteName(spec.site);
     const SiteInfo &info =
         site_table[static_cast<std::size_t>(spec.site)];
-    if (info.defaultArg != 0 && spec.arg != info.defaultArg)
-        out += ":" + std::to_string(spec.arg);
+    if (info.defaultArg != 0 && spec.arg != info.defaultArg) {
+        out += ':';
+        out += std::to_string(spec.arg);
+    }
     if (spec.periodic) {
-        out += "@n" + std::to_string(spec.period);
+        out += "@n";
+        out += std::to_string(spec.period);
     } else {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "@p%g", spec.prob);

@@ -15,7 +15,9 @@ regName(RegIndex r)
         return "rz";
     if (r == regLink)
         return "ra";
-    return "r" + std::to_string(static_cast<unsigned>(r));
+    std::string name(1, 'r');
+    name += std::to_string(static_cast<unsigned>(r));
+    return name;
 }
 
 } // namespace

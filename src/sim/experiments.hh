@@ -31,7 +31,7 @@ struct ExperimentConfig
     std::uint64_t seed = 1;
     /**
      * Optional content-addressed result store (bench --cache DIR,
-     * specslice_verify --serve --cache DIR). When set, every
+     * specslice_verify --cache DIR). When set, every
      * experiment-library simulation goes through cachedRun: a hit
      * restores the full RunResult without simulating, a miss runs and
      * commits. Not owned.

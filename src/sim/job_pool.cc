@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <utility>
 
 #include "common/failure.hh"
@@ -13,170 +12,25 @@
 namespace specslice::sim
 {
 
-const char *
-jobStateName(JobState state)
-{
-    switch (state) {
-      case JobState::Ok:
-        return "ok";
-      case JobState::Failed:
-        return "failed";
-      case JobState::TimedOut:
-        return "timed_out";
-    }
-    return "unknown";
-}
-
-namespace
-{
-
-using SteadyClock = std::chrono::steady_clock;
-
-/**
- * Process-wide deadline watcher: one thread, lazily started, that
- * raises each registered job's cancellation flag when its deadline
- * passes. Leaked on purpose — a detached watcher must not race static
- * destruction at process exit.
- */
-class DeadlineMonitor
-{
-  public:
-    static DeadlineMonitor &
-    instance()
-    {
-        static DeadlineMonitor *mon = new DeadlineMonitor;
-        return *mon;
-    }
-
-    std::uint64_t
-    add(SteadyClock::time_point deadline,
-        std::shared_ptr<std::atomic<bool>> flag)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!started_) {
-            started_ = true;
-            std::thread([this] { loop(); }).detach();
-        }
-        std::uint64_t id = next_++;
-        entries_.emplace(id, Entry{deadline, std::move(flag)});
-        cv_.notify_one();
-        return id;
-    }
-
-    void
-    remove(std::uint64_t id)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_.erase(id);
-    }
-
-  private:
-    struct Entry
-    {
-        SteadyClock::time_point deadline;
-        std::shared_ptr<std::atomic<bool>> flag;
-    };
-
-    [[noreturn]] void
-    loop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        for (;;) {
-            if (entries_.empty()) {
-                cv_.wait(lock);
-                continue;
-            }
-            auto earliest = SteadyClock::time_point::max();
-            for (const auto &[id, e] : entries_)
-                earliest = std::min(earliest, e.deadline);
-            cv_.wait_until(lock, earliest);
-            auto now = SteadyClock::now();
-            for (auto it = entries_.begin(); it != entries_.end();) {
-                if (it->second.deadline <= now) {
-                    it->second.flag->store(true,
-                                           std::memory_order_relaxed);
-                    it = entries_.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::map<std::uint64_t, Entry> entries_;
-    std::uint64_t next_ = 1;
-    bool started_ = false;
-};
-
-} // namespace
-
 namespace settle_detail
 {
 
 void
-runSettled(const SettleOptions &opts, JobStatus &status,
+runSettled(std::string &error, double &wall_seconds,
            const std::function<void()> &body)
 {
-    auto t0 = SteadyClock::now();
-    bool deadlined = opts.deadlineSeconds > 0.0;
-    unsigned max_attempts = 1 + (deadlined ? opts.timeoutRetries : 0);
-
-    status = JobStatus{};
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-        status.attempts = attempt;
-
-        // One flag per attempt (shared with the monitor so a late
-        // firing after this attempt ends cannot touch freed memory).
-        auto flag = std::make_shared<std::atomic<bool>>(false);
-        std::uint64_t watch_id = 0;
-        if (deadlined) {
-            auto deadline =
-                SteadyClock::now() +
-                std::chrono::duration_cast<SteadyClock::duration>(
-                    std::chrono::duration<double>(
-                        opts.deadlineSeconds));
-            watch_id =
-                DeadlineMonitor::instance().add(deadline, flag);
-        }
-
-        ScopedCancelFlag cancel(flag.get());
+    auto t0 = std::chrono::steady_clock::now();
+    try {
         ScopedThrowErrors throwing;
-        try {
-            body();
-            if (watch_id)
-                DeadlineMonitor::instance().remove(watch_id);
-            status.state = JobState::Ok;
-            status.error.clear();
-            break;
-        } catch (const SimError &e) {
-            if (watch_id)
-                DeadlineMonitor::instance().remove(watch_id);
-            status.error = e.what();
-            if (e.kind() == SimError::Kind::Timeout) {
-                status.state = JobState::TimedOut;
-                continue;  // retry if attempts remain
-            }
-            status.state = JobState::Failed;
-            break;
-        } catch (const std::exception &e) {
-            if (watch_id)
-                DeadlineMonitor::instance().remove(watch_id);
-            status.state = JobState::Failed;
-            status.error = e.what();
-            break;
-        } catch (...) {
-            if (watch_id)
-                DeadlineMonitor::instance().remove(watch_id);
-            status.state = JobState::Failed;
-            status.error = "unknown exception";
-            break;
-        }
+        body();
+    } catch (const std::exception &e) {
+        error = e.what();
+    } catch (...) {
+        error = "unknown exception";
     }
-
-    status.wallSeconds =
-        std::chrono::duration<double>(SteadyClock::now() - t0).count();
+    wall_seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
 }
 
 } // namespace settle_detail

@@ -22,11 +22,11 @@
  *
  * mapSettled() is the crash-resilient variant for sweeps: each job
  * runs under ScopedThrowErrors (panic()/fatal() in simulation code
- * become catchable SimError), failures are isolated per job and
- * reported in a JobStatus instead of being rethrown, and an optional
- * wall-clock deadline cancels runaway jobs cooperatively (one retry
- * by default). One bad configuration no longer takes down a 24-run
- * sweep.
+ * become catchable SimError), and a failure is isolated in that job's
+ * slot as its error text instead of being rethrown. One bad
+ * configuration no longer takes down a 24-run sweep. Jobs are not
+ * timed out: every simulation run is bounded in simulated cycles (the
+ * hard cycle limit and the no-progress watchdog).
  *
  * The job count comes from (in priority order) an explicit
  * constructor argument (the `--jobs N` flag of the bench drivers and
@@ -54,60 +54,29 @@
 namespace specslice::sim
 {
 
-/** Terminal state of one settled job. */
-enum class JobState
-{
-    Ok,        ///< ran to completion, value present
-    Failed,    ///< threw (SimError from panic/fatal, or any exception)
-    TimedOut,  ///< exceeded the wall-clock deadline on every attempt
-};
-
-/** Stable lower-case name for JSON/summary output. */
-const char *jobStateName(JobState state);
-
-/** What happened to one settled job. */
-struct JobStatus
-{
-    JobState state = JobState::Ok;
-    /** Exception message (empty when Ok). */
-    std::string error;
-    /** Total wall time across all attempts, in seconds. */
-    double wallSeconds = 0.0;
-    /** Attempts made (> 1 only after a timeout retry). */
-    unsigned attempts = 0;
-};
-
-/** Per-batch settings for mapSettled(). */
-struct SettleOptions
-{
-    /** Per-job wall-clock deadline in seconds (0 = none). Cancellation
-     *  is cooperative: the job must poll cancelRequested() /
-     *  throwIfCancelled() (the core's run loop does). */
-    double deadlineSeconds = 0.0;
-    /** Extra attempts after a timeout (failures never retry). */
-    unsigned timeoutRetries = 1;
-};
-
 /** Result slot of one mapSettled() item: the value when the job
- *  succeeded, plus its status either way. */
+ *  returned, otherwise the text of what it threw. */
 template <typename R>
 struct Settled
 {
     std::optional<R> value;
-    JobStatus status;
+    /** Exception message (empty when ok). */
+    std::string error;
+    /** The job's wall time, in seconds. */
+    double wallSeconds = 0.0;
 
-    bool ok() const { return status.state == JobState::Ok; }
+    bool ok() const { return value.has_value(); }
 };
 
 namespace settle_detail
 {
 
 /**
- * Run `body` with per-job isolation: ScopedThrowErrors (panic/fatal
- * throw), an optional deadline-armed cancellation flag, and retry on
- * timeout per `opts`. Never throws; the outcome lands in `status`.
+ * Run `body` under ScopedThrowErrors (panic/fatal throw). Never
+ * throws: the text of whatever `body` threw lands in `error`, and its
+ * wall time in `wall_seconds`.
  */
-void runSettled(const SettleOptions &opts, JobStatus &status,
+void runSettled(std::string &error, double &wall_seconds,
                 const std::function<void()> &body);
 
 } // namespace settle_detail
@@ -183,19 +152,13 @@ class JobPool
 
     /**
      * Crash-resilient map: like map(), but each job is isolated — a
-     * job that panics, throws, or exceeds the deadline yields a slot
-     * with state Failed/TimedOut instead of poisoning the batch. The
-     * slot order matches the item order; output-ordering guarantees
-     * are the same as map()'s.
-     *
-     * A job that ignores its cancellation flag can still block the
-     * batch past its deadline — the deadline relies on the job
-     * polling (simulation runs do; see core::SmtCore::run).
+     * job that panics or throws yields a slot holding its error text
+     * instead of poisoning the batch. The slot order matches the item
+     * order; output-ordering guarantees are the same as map()'s.
      */
     template <typename Item, typename Fn>
     auto
-    mapSettled(const std::vector<Item> &items, Fn fn,
-               const SettleOptions &opts = {})
+    mapSettled(const std::vector<Item> &items, Fn fn)
         -> std::vector<Settled<std::invoke_result_t<Fn &, const Item &>>>
     {
         using R = std::invoke_result_t<Fn &, const Item &>;
@@ -203,13 +166,13 @@ class JobPool
         std::vector<std::future<void>> done;
         done.reserve(items.size());
         for (std::size_t i = 0; i < items.size(); ++i) {
-            done.push_back(submit([&out, &items, &fn, &opts, i] {
+            done.push_back(submit([&out, &items, &fn, i] {
                 Settled<R> &slot = out[i];
-                settle_detail::runSettled(opts, slot.status, [&] {
-                    slot.value.emplace(fn(items[i]));
-                });
-                if (slot.status.state != JobState::Ok)
-                    slot.value.reset();
+                // fn throwing leaves the value empty: emplace() is
+                // never reached.
+                settle_detail::runSettled(
+                    slot.error, slot.wallSeconds,
+                    [&] { slot.value.emplace(fn(items[i])); });
             }));
         }
         for (auto &f : done)

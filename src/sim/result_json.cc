@@ -94,31 +94,12 @@ speedupPct(const RunResult &base, const RunResult &other)
                     1.0);
 }
 
-int
-outcomeSeverity(SimOutcome oc)
-{
-    switch (oc) {
-      case SimOutcome::Completed:
-        return 0;
-      case SimOutcome::CycleLimit:
-        return 1;
-      case SimOutcome::Watchdog:
-        return 2;
-      case SimOutcome::CheckerDivergence:
-        return 3;
-      case SimOutcome::Fault:
-        return 4;
-    }
-    return 4;
-}
-
 SimOutcome
 worstOutcome(const std::vector<WorkloadPerf> &runs)
 {
     SimOutcome worst = SimOutcome::Completed;
     for (const WorkloadPerf &p : runs)
-        if (outcomeSeverity(p.result.outcome) > outcomeSeverity(worst))
-            worst = p.result.outcome;
+        worst = worseOutcome(worst, p.result.outcome);
     return worst;
 }
 
@@ -356,7 +337,7 @@ resultFromJson(const Value &doc, RunResult &out, std::string &error)
         error = "result document lacks an outcome";
         return false;
     }
-    out = RunResult{};
+    out = RunResult();
     out.outcome = outcomeFromName(outcome->str);
     out.diagnosis = doc.getStr("diagnosis");
     out.faultSummary = doc.getStr("fault_summary");

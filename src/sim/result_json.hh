@@ -38,6 +38,7 @@ namespace specslice::sim
 using RunResult = core::RunResult;
 using SimOutcome = core::SimOutcome;
 using core::outcomeName;
+using core::worseOutcome;
 
 /**
  * Version of the machine-readable result documents (BENCH_*.json,
@@ -88,11 +89,8 @@ struct DocMeta
     bool compare = false;  ///< adds speedup_pct from runs[0] vs [1]
 };
 
-/** Rank outcomes by severity so a multi-run document (and its exit
- *  code) reports the worst one. */
-int outcomeSeverity(SimOutcome oc);
-
-/** The worst outcome across a batch of runs. */
+/** The worst outcome across a batch of runs (core::worseOutcome), so
+ *  a multi-run document and its exit code report the worst one. */
 SimOutcome worstOutcome(const std::vector<WorkloadPerf> &runs);
 
 /**

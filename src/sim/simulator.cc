@@ -30,30 +30,11 @@ checkForcedByEnv()
     return forced;
 }
 
-/** Worse-outcome ordering for region aggregation. */
-int
-outcomeRank(SimOutcome o)
-{
-    switch (o) {
-      case SimOutcome::Completed:
-        return 0;
-      case SimOutcome::CycleLimit:
-        return 1;
-      case SimOutcome::Watchdog:
-        return 2;
-      case SimOutcome::CheckerDivergence:
-        return 3;
-      case SimOutcome::Fault:
-        return 4;
-    }
-    return 5;
-}
-
 /** Fold one region's result into the running aggregate. */
 void
 accumulate(RunResult &agg, RunResult &&r)
 {
-    if (outcomeRank(r.outcome) > outcomeRank(agg.outcome)) {
+    if (worseOutcome(agg.outcome, r.outcome) != agg.outcome) {
         agg.outcome = r.outcome;
         agg.diagnosis = r.diagnosis;
     }

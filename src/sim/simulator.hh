@@ -30,6 +30,7 @@ using RunOptions = core::RunOptions;
 using RunResult = core::RunResult;
 using SimOutcome = core::SimOutcome;
 using core::outcomeName;
+using core::worseOutcome;
 /** The typed exception panic()/fatal() raise under ScopedThrowErrors
  *  (defined in common/failure.hh; aliased here as the sim-facade
  *  name tools catch around Simulator::run). */

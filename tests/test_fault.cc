@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "fault/fault.hh"
 #include "sim/job_pool.hh"
+#include "sim/result_json.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -343,4 +345,27 @@ TEST(Outcome, NamesAreStable)
     EXPECT_STREQ(sim::outcomeName(sim::SimOutcome::CheckerDivergence),
                  "checker_divergence");
     EXPECT_STREQ(sim::outcomeName(sim::SimOutcome::Fault), "fault");
+}
+
+TEST(Outcome, WorstOutcomeFollowsSeverity)
+{
+    // Least to most severe; region aggregation (worseOutcome) and
+    // multi-run documents (worstOutcome) share this one ordering.
+    const std::vector<sim::SimOutcome> order = {
+        sim::SimOutcome::Completed, sim::SimOutcome::CycleLimit,
+        sim::SimOutcome::Watchdog, sim::SimOutcome::CheckerDivergence,
+        sim::SimOutcome::Fault};
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        for (std::size_t j = 0; j < order.size(); ++j) {
+            sim::SimOutcome want = order[std::max(i, j)];
+            EXPECT_EQ(sim::worseOutcome(order[i], order[j]), want)
+                << i << " vs " << j;
+
+            std::vector<sim::WorkloadPerf> runs(2);
+            runs[0].result.outcome = order[i];
+            runs[1].result.outcome = order[j];
+            EXPECT_EQ(sim::worstOutcome(runs), want) << i << " vs " << j;
+        }
+    }
+    EXPECT_EQ(sim::worstOutcome({}), sim::SimOutcome::Completed);
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -16,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/failure.hh"
 #include "common/logging.hh"
 #include "sim/experiments.hh"
 #include "sim/job_pool.hh"
@@ -169,17 +169,20 @@ TEST(JobPoolSettled, ThrowingJobIsIsolated)
     sim::JobPool pool(4);
     const std::vector<int> items = {0, 1, 2, 3, 4, 5, 6, 7};
     auto out = pool.mapSettled(items, [](int v) -> int {
-        if (v == 3)
+        if (v == 3) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
             throw std::runtime_error("boom");
+        }
         return v * 2;
     });
     ASSERT_EQ(out.size(), items.size());
     for (std::size_t i = 0; i < items.size(); ++i) {
         if (i == 3) {
             EXPECT_FALSE(out[i].ok());
-            EXPECT_EQ(out[i].status.state, sim::JobState::Failed);
-            EXPECT_EQ(out[i].status.error, "boom");
+            EXPECT_EQ(out[i].error, "boom");
             EXPECT_FALSE(out[i].value.has_value());
+            // A failed job still reports its wall time.
+            EXPECT_GE(out[i].wallSeconds, 0.02);
         } else {
             ASSERT_TRUE(out[i].ok()) << i;
             EXPECT_EQ(*out[i].value, static_cast<int>(i) * 2);
@@ -202,40 +205,9 @@ TEST(JobPoolSettled, PanicBecomesCatchableSimError)
     EXPECT_TRUE(out[0].ok());
     EXPECT_TRUE(out[2].ok());
     EXPECT_FALSE(out[1].ok());
-    EXPECT_EQ(out[1].status.state, sim::JobState::Failed);
-    EXPECT_NE(out[1].status.error.find("panic"), std::string::npos);
-    EXPECT_NE(out[1].status.error.find("injected panic in job 1"),
+    EXPECT_NE(out[1].error.find("panic"), std::string::npos);
+    EXPECT_NE(out[1].error.find("injected panic in job 1"),
               std::string::npos);
-}
-
-TEST(JobPoolSettled, DeadlineCancelsCooperativeJobWithOneRetry)
-{
-    sim::JobPool pool(2);
-    sim::SettleOptions opts;
-    opts.deadlineSeconds = 0.05;
-    opts.timeoutRetries = 1;
-
-    const std::vector<int> items = {0, 1};
-    auto out = pool.mapSettled(
-        items,
-        [](int v) -> int {
-            if (v == 1) {
-                // Cooperative spin: polls its cancellation flag the
-                // way SmtCore::run does, forever.
-                for (;;)
-                    throwIfCancelled("settled test spin");
-            }
-            return v;
-        },
-        opts);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_TRUE(out[0].ok());
-    EXPECT_FALSE(out[1].ok());
-    EXPECT_EQ(out[1].status.state, sim::JobState::TimedOut);
-    EXPECT_EQ(out[1].status.attempts, 2u);  // one retry after timeout
-    EXPECT_NE(out[1].status.error.find("deadline exceeded"),
-              std::string::npos);
-    EXPECT_GE(out[1].status.wallSeconds, 0.05);
 }
 
 TEST(JobPoolSettled, SweepSurvivesOneFatalConfiguration)
@@ -256,8 +228,8 @@ TEST(JobPoolSettled, SweepSurvivesOneFatalConfiguration)
         slot.ok() ? ++ok : ++failed;
     EXPECT_EQ(ok, 7u);
     EXPECT_EQ(failed, 1u);
-    EXPECT_EQ(out[5].status.state, sim::JobState::Failed);
-    EXPECT_NE(out[5].status.error.find("fatal"), std::string::npos);
+    EXPECT_FALSE(out[5].ok());
+    EXPECT_NE(out[5].error.find("fatal"), std::string::npos);
 
     // The pool stays usable after the failures.
     auto again = pool.map(items, [](int v) { return v; });

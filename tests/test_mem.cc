@@ -87,9 +87,10 @@ TEST_P(CacheGeometry, ReferenceModelAgreement)
             c.fill(a, false, false);
             filled.insert(c.lineAddr(a));
         } else {
-            if (c.access(a, true) != nullptr)
+            if (c.access(a, true) != nullptr) {
                 EXPECT_TRUE(filled.count(c.lineAddr(a)))
                     << "hit on never-filled line";
+            }
         }
     }
 }

@@ -19,7 +19,7 @@
  *   2  usage error (unknown flag/workload/trace flag/inject spec)
  *   3  run did not complete (cycle limit / watchdog) without
  *      --allow-partial
- *   4  simulation error (panic/fatal/timeout); with --json a
+ *   4  simulation error (panic/fatal); with --json a
  *      machine-readable error document is still emitted on stdout
  */
 
@@ -485,14 +485,17 @@ main(int argc, char **argv)
         events = std::make_unique<obs::EventBuffer>();
 
     // Crash resilience: intervals accumulate into a caller-owned sink
-    // (single-run paths only — --compare runs would race on it) and a
-    // crash-dump handler flushes whatever artifacts exist if a run
-    // dies through the non-throwing panic/fatal path.
+    // (single-run paths only — --compare runs would race on it), so a
+    // run that throws still leaves its partial interval CSV.
     std::vector<obs::IntervalRecord> interval_live;
     if (!o.compare)
         opts.intervalSink = &interval_live;
 
-    auto writePartialArtifacts = [&]() {
+    // A failed run still produces a machine-readable record: with
+    // --json an {"error": {...}} document goes to stdout, and partial
+    // observability artifacts are flushed either way.
+    auto simFailure = [&](const std::string &kind,
+                          const std::string &message) -> int {
         if (!o.intervalsPath.empty() && !interval_live.empty()) {
             std::ofstream os(o.intervalsPath);
             if (os)
@@ -503,15 +506,6 @@ main(int argc, char **argv)
             if (os)
                 events->writeChromeTrace(os);
         }
-    };
-    ScopedCrashDump crash_dump(writePartialArtifacts);
-
-    // A failed run still produces a machine-readable record: with
-    // --json an {"error": {...}} document goes to stdout, and partial
-    // observability artifacts are flushed either way.
-    auto simFailure = [&](const std::string &kind,
-                          const std::string &message) -> int {
-        writePartialArtifacts();
         if (o.json)
             std::printf("%s\n",
                         sim::errorDocument(wl.name, o.seed, kind,
@@ -564,9 +558,9 @@ main(int argc, char **argv)
     } else if (o.compare) {
         // The two runs are independent (each gets its own simulator
         // instance; wl is shared read-only), so they overlap on a
-        // multicore host. mapSettled isolates a failing configuration:
-        // the surviving run's numbers are still printed before the
-        // error is reported.
+        // multicore host. mapSettled isolates a failing configuration
+        // so the other run still finishes; the first failed slot is
+        // then reported as the error and no numbers are printed.
         struct RunSpec
         {
             const char *tag;
@@ -584,11 +578,7 @@ main(int argc, char **argv)
         });
         for (auto &slot : settled) {
             if (!slot.ok())
-                return simFailure(
-                    slot.status.state == sim::JobState::TimedOut
-                        ? "timeout"
-                        : "failed",
-                    slot.status.error);
+                return simFailure("failed", slot.error);
             runs.push_back(std::move(*slot.value));
         }
         result = runs.back().result;

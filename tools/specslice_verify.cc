@@ -9,7 +9,7 @@
  *   specslice_verify --generate golden/          # refresh the corpus
  *   specslice_verify --golden golden/ --jobs 8 --workloads vpr,mcf
  *   specslice_verify --golden golden/ --inject slice.kill@n3 --json
- *   specslice_verify --golden golden/ --serve --cache DIR  # incremental
+ *   specslice_verify --golden golden/ --cache DIR  # incremental
  *   specslice_verify --cache DIR --fsck          # offline cache scrub
  *
  * Verification reads the run parameters (insts/warmup/seed/width/
@@ -29,9 +29,14 @@
  * architectural state. The counter diff is skipped (perturbed stats
  * are the point).
  *
+ * With a result cache (--cache DIR or $SS_CACHE_DIR, opened by
+ * bench::openCacheOption as in the bench drivers) every run goes
+ * through it, so an unchanged binary re-verifies without simulating.
+ *
  * The sweep is crash-resilient: workloads run via JobPool::mapSettled,
- * so one panicking or deadline-exceeded configuration is reported in
- * the summary (state "error"/"timeout") while the rest complete.
+ * so one panicking configuration is reported in the summary (state
+ * "error") while the rest complete. Every run is bounded by its
+ * simulated-cycle limit and watchdog, not by wall-clock time.
  * Exits 0 only when every workload passes; 2 on usage errors.
  */
 
@@ -88,18 +93,12 @@ struct Options
     /** Checkpoint cache dir: first run per workload saves the
      *  fast-forward state, later runs restore it (empty = off). */
     std::string checkpoints;
-    /** Incremental mode: route every run through the content-
-     *  addressed result cache, so an unchanged binary re-verifies
-     *  without simulating at all. */
-    bool serve = false;
-    std::string cacheDir;  ///< "" = SS_CACHE_DIR or .sscache
     bool fsck = false;        ///< scrub the cache and exit
     bool fsckDelete = false;  ///< --fsck deletes instead of
                               ///< quarantining corrupt entries
     bool check = true;
     bool verbose = false;
     bool json = false;            ///< sweep summary JSON on stdout
-    double deadline = 0.0;        ///< per-workload wall clock (s)
     fault::FaultPlan inject;      ///< plan applied to every workload
     /** Per-workload plans (--inject-workload NAME:SPEC); override the
      *  global plan for that workload. */
@@ -125,8 +124,6 @@ usage(int code)
         "                    --generate)\n"
         "  --inject-workload NAME:SPEC  per-workload plan (overrides\n"
         "                    --inject for NAME; repeatable)\n"
-        "  --deadline SECS   per-workload wall-clock deadline (one\n"
-        "                    retry on timeout; 0 = none)\n"
         "  --json            print the sweep summary as JSON on\n"
         "                    stdout\n"
         "  --insts N         measured instructions (generate; %llu)\n"
@@ -144,13 +141,11 @@ usage(int code)
         "                    re-executing; the key covers workload,\n"
         "                    seed, fast-forward depth, and binary, so\n"
         "                    a stale checkpoint is never restored)\n"
-        "  --serve           incremental verify: serve runs from the\n"
-        "                    content-addressed result cache, simulate\n"
-        "                    only what the cache is missing (after a\n"
-        "                    no-op rebuild the whole sweep is served)\n"
-        "  --cache DIR       result-cache directory for --serve and\n"
-        "                    --fsck (default $SS_CACHE_DIR or\n"
-        "                    .sscache)\n"
+        "  --cache DIR       incremental verify: serve runs from this\n"
+        "                    content-addressed result cache (default\n"
+        "                    $SS_CACHE_DIR), simulate only what it is\n"
+        "                    missing (after a no-op rebuild the whole\n"
+        "                    sweep is served)\n"
         "  --fsck            scrub --cache: verify every entry's\n"
         "                    header + checksum, quarantine corrupt\n"
         "                    ones, rebuild the LRU index; prints a\n"
@@ -229,12 +224,6 @@ parseArgs(int argc, char **argv)
             }
             o.injectWorkload[v.substr(0, colon)] =
                 parsePlanOrDie(v.substr(colon + 1));
-        } else if (a == "--deadline") {
-            const char *v = next();
-            char *end = nullptr;
-            o.deadline = std::strtod(v, &end);
-            if (!end || *end != '\0' || o.deadline < 0.0)
-                usage(2);
         } else if (a == "--json") {
             o.json = true;
         } else if (a == "--insts") {
@@ -253,10 +242,8 @@ parseArgs(int argc, char **argv)
                 usage(2);
         } else if (a == "--checkpoints") {
             o.checkpoints = next();
-        } else if (a == "--serve") {
-            o.serve = true;
         } else if (a == "--cache") {
-            o.cacheDir = next();
+            next();  // opened by bench::openCacheOption
         } else if (a == "--fsck") {
             o.fsck = true;
         } else if (a == "--fsck-delete") {
@@ -334,7 +321,7 @@ struct LiveRun
 
 /** Run one workload in both configurations and digest the results.
  *  With a result cache, runs the cache already holds are served
- *  without simulating (incremental --serve verify). */
+ *  without simulating (incremental verify). */
 LiveRun
 buildLiveRun(const std::string &name, const RunParams &p, bool check,
              const fault::FaultPlan &plan,
@@ -419,9 +406,7 @@ buildLiveRun(const std::string &name, const RunParams &p, bool check,
 
     auto absorb = [&](const char *config, const sim::RunResult &r) {
         live.digest.sections.push_back(sectionFrom(config, r));
-        if (static_cast<int>(r.outcome) >
-            static_cast<int>(live.worst))
-            live.worst = r.outcome;
+        live.worst = sim::worseOutcome(live.worst, r.outcome);
         if (r.checkDiverged && !live.diverged) {
             live.diverged = true;
             live.checkReport = r.checkReport;
@@ -460,7 +445,7 @@ struct Outcome
 {
     std::string name;
     bool ok = false;
-    /** ok | mismatch | error | timeout (for --json). */
+    /** ok | mismatch | error (for --json). */
     std::string state = "mismatch";
     std::vector<std::string> messages;
 };
@@ -580,25 +565,11 @@ generateWorkload(const std::string &name, const Options &o,
     return out;
 }
 
-/** The result-cache directory: --cache, else $SS_CACHE_DIR, else
- *  .sscache. */
-std::string
-cacheDirFor(const Options &o)
-{
-    if (!o.cacheDir.empty())
-        return o.cacheDir;
-    if (const char *env = std::getenv("SS_CACHE_DIR"))
-        if (*env)
-            return env;
-    return ".sscache";
-}
-
 /** Offline cache scrub: one JSON report line on stdout; exits 0
  *  unless the walk or the index rewrite itself failed. */
 int
-fsckMain(const Options &o)
+fsckMain(const Options &o, sim::ResultCache &cache)
 {
-    sim::ResultCache cache(cacheDirFor(o));
     sim::ResultCache::ScrubReport rep;
     std::string err;
     const bool ok = cache.scrub(rep, err, o.fsckDelete);
@@ -628,8 +599,15 @@ int
 main(int argc, char **argv)
 {
     Options o = parseArgs(argc, argv);
-    if (o.fsck)
-        return fsckMain(o);
+    if (o.fsck) {
+        auto cache = bench::openCacheOption(argc, argv);
+        if (!cache) {
+            std::fprintf(stderr, "error: --fsck needs --cache DIR or "
+                                 "SS_CACHE_DIR\n");
+            return 2;
+        }
+        return fsckMain(o, *cache);
+    }
 
     const std::vector<std::string> &all = workloads::allWorkloadNames();
     std::vector<std::string> names =
@@ -663,40 +641,28 @@ main(int argc, char **argv)
     if (!o.checkpoints.empty())
         std::filesystem::create_directories(o.checkpoints);
 
-    // --serve: one shared cache; ResultCache is thread-safe, so the
-    // JobPool workers hit it concurrently.
-    std::unique_ptr<sim::ResultCache> cache;
-    if (o.serve)
-        cache = std::make_unique<sim::ResultCache>(cacheDirFor(o));
+    // One shared cache; ResultCache is thread-safe, so the JobPool
+    // workers hit it concurrently.
+    std::unique_ptr<sim::ResultCache> cache =
+        bench::openCacheOption(argc, argv);
 
     sim::JobPool pool(o.jobs);
-    sim::SettleOptions sopts;
-    sopts.deadlineSeconds = o.deadline;
-    auto settled = pool.mapSettled(
-        names,
-        [&](const std::string &name) {
-            return o.generate
-                       ? generateWorkload(name, o, cache.get())
-                       : verifyWorkload(name, o, cache.get());
-        },
-        sopts);
+    auto settled = pool.mapSettled(names, [&](const std::string &name) {
+        return o.generate ? generateWorkload(name, o, cache.get())
+                          : verifyWorkload(name, o, cache.get());
+    });
 
     std::vector<Outcome> outcomes;
-    std::vector<sim::JobStatus> statuses;
     for (std::size_t i = 0; i < settled.size(); ++i) {
         if (settled[i].ok()) {
             outcomes.push_back(std::move(*settled[i].value));
         } else {
             Outcome out;
             out.name = names[i];
-            out.state = settled[i].status.state ==
-                                sim::JobState::TimedOut
-                            ? "timeout"
-                            : "error";
-            out.messages.push_back(settled[i].status.error);
+            out.state = "error";
+            out.messages.push_back(settled[i].error);
             outcomes.push_back(std::move(out));
         }
-        statuses.push_back(settled[i].status);
     }
 
     bool failed = false;
@@ -763,9 +729,7 @@ main(int argc, char **argv)
             rec.field("name", out.name)
                 .raw("ok", out.ok ? "true" : "false")
                 .field("state", out.state)
-                .field("wall_seconds", statuses[i].wallSeconds)
-                .field("attempts",
-                       std::uint64_t{statuses[i].attempts});
+                .field("wall_seconds", settled[i].wallSeconds);
             std::vector<std::string> msgs;
             for (const std::string &m : out.messages)
                 msgs.push_back("\"" + bench::jsonEscape(m) + "\"");
