@@ -53,7 +53,7 @@ SmtCore::windowCounterFor(bool slice_thread)
                : windowOccupancy_;
 }
 
-void
+bool
 SmtCore::fetchFrom(ThreadId tid)
 {
     ThreadCtx &t = threads_[tid];
@@ -62,26 +62,30 @@ SmtCore::fetchFrom(ThreadId tid)
         if (!fetchOne(t, tid, fetched))
             break;
     }
+    // The thread was fetchable, so a stop before the first fetch
+    // either counted a full window (which only retire or squash can
+    // free) or changed its fetch state (I-cache miss, unmapped PC).
+    return fetched > 0 || windowCounterFor(t.isSlice) < cfg_.windowSize;
 }
 
-void
+bool
 SmtCore::fetchStage()
 {
     if (cfg_.dedicatedSliceResources) {
         // Section 6.3's dedicated-hardware variant: the main thread
         // and one helper thread each get a full fetch port.
+        bool acted = false;
         ThreadCtx &m = threads_[0];
         if (m.active && !m.fetchEnded && m.fetchStallUntil <= cycle_)
-            fetchFrom(0);
+            acted = fetchFrom(0);
         ThreadId s = pickFetchThread(/*slices_only=*/true);
         if (s != invalidThread)
-            fetchFrom(s);
-        return;
+            acted |= fetchFrom(s);
+        return acted;
     }
 
     ThreadId tid = pickFetchThread();
-    if (tid != invalidThread)
-        fetchFrom(tid);
+    return tid != invalidThread && fetchFrom(tid);
 }
 
 bool
@@ -123,8 +127,7 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
         SS_FATAL("main thread fetched unmapped pc 0x", std::hex, pc);
     }
 
-    DynInst di;
-    di.seq = nextSeq_++;
+    DynInst &di = inFlight_.insert(nextSeq_++);
     di.thread = tid;
     di.pc = pc;
     di.si = si;
@@ -307,7 +310,6 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
 
     SeqNum seq = di.seq;
     bool issue_ready = !di.wrongPath && di.pendingSrcs == 0;
-    DynInst &win = inFlight_.emplace(seq, std::move(di));
     t.rob.push_back(seq);
     ++windowCounterFor(t.isSlice);
     ++t.icount;
@@ -319,15 +321,15 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
         ++s_.sliceFetched;
     } else {
         ++s_.mainFetched;
-        if (win.wrongPath)
+        if (di.wrongPath)
             ++s_.mainFetchedWrongpath;
     }
 
     if (events_) [[unlikely]]
-        events_->push(obs::EventKind::Fetch, tid, win.pc, seq,
-                      win.wrongPath);
-    SS_DTRACE(Fetch, "tid=", int{tid}, " pc=0x", std::hex, win.pc,
-              std::dec, " seq=", seq, " wp=", int{win.wrongPath},
+        events_->push(obs::EventKind::Fetch, tid, di.pc, seq,
+                      di.wrongPath);
+    SS_DTRACE(Fetch, "tid=", int{tid}, " pc=0x", std::hex, di.pc,
+              std::dec, " seq=", seq, " wp=", int{di.wrongPath},
               " cyc=", cycle_);
 
     return !end_fetch_group;

@@ -101,6 +101,8 @@ SmtCore::SmtCore(const CoreConfig &cfg, const isa::Program &program,
       bpu_(cfg.predictor),
       sliceTable_(cfg.sliceTable),
       correlator_(cfg.correlator),
+      inFlight_(cfg.dedicatedSliceResources ? 2 * cfg.windowSize
+                                            : cfg.windowSize),
       stats_("core"),
       s_(stats_)
 {
@@ -118,6 +120,28 @@ DynInst *
 SmtCore::inst(SeqNum seq)
 {
     return inFlight_.find(seq);
+}
+
+Cycle
+SmtCore::nextEventCycle() const
+{
+    Cycle next = ~Cycle{0};
+    if (!completions_.empty())
+        next = completions_.top().first;
+    for (SeqNum seq : ready_) {
+        const DynInst *di = inFlight_.find(seq);
+        if (di && !di->issued)
+            next = std::min(next, di->eligibleAt);
+    }
+    for (const ThreadCtx &t : threads_) {
+        if (!t.active || t.fetchEnded)
+            continue;
+        if (t.fetchStallUntil > cycle_)
+            next = std::min(next, t.fetchStallUntil);
+        if (t.killAtCycle)
+            next = std::min(next, t.killAtCycle);
+    }
+    return next;
 }
 
 SeqNum
@@ -281,10 +305,11 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
         if (events_)
             events_->setNow(cycle_);
         hierarchy_.tick(cycle_);
-        completeStage();
-        issueStage();
-        fetchStage();
-        retireStage();
+        const std::uint64_t window_stalls = s_.fetchWindowStalls;
+        bool acted = completeStage();
+        acted |= issueStage();
+        acted |= fetchStage();
+        acted |= retireStage();
 
         if (mainRetired_ != last_retired) {
             last_retired = mainRetired_;
@@ -316,6 +341,28 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
             break;
         if (mainHalted_ && threads_[0].rob.empty())
             break;
+
+        // Quiescent-cycle skipping. A cycle in which no stage acted
+        // left the pipeline as it found it, so each following cycle
+        // repeats it until a timed event: jump to just before the
+        // earliest one, crediting the skipped cycles' window stalls.
+        // The memory hierarchy's tick() catches up lazily (write-buffer
+        // drain and expired-fill clean-up give the same result either
+        // way), and the dead-slice poll and retireUpTo() give the same
+        // answer on the unchanged state.
+        if (!acted) {
+            Cycle next = std::min(nextEventCycle(), max_cycles);
+            if (watchdog)
+                next = std::min(next, last_progress + watchdog);
+            if (iv_cycles)
+                next = std::min(next, iv.nextBoundary);
+            if (next > cycle_ + 1) {
+                s_.fetchWindowStalls += (s_.fetchWindowStalls -
+                                         window_stalls) *
+                                        (next - 1 - cycle_);
+                cycle_ = next - 1;
+            }
+        }
     }
 
     // Close the final (possibly partial) window.
@@ -426,7 +473,7 @@ SmtCore::wakeupDependents(DynInst &di)
     di.dependents.clear();
 }
 
-void
+bool
 SmtCore::issueStage()
 {
     // Sort the entries appended since the last drain and merge them
@@ -439,6 +486,7 @@ SmtCore::issueStage()
         std::inplace_merge(ready_.begin(), mid, ready_.end());
     }
 
+    bool acted = false;
     unsigned issued = 0;
     unsigned int_alu = 0, mem_ports = 0, complex = 0, fp = 0;
     readyKept_.clear();
@@ -495,6 +543,7 @@ SmtCore::issueStage()
         }
 
         di->issued = true;
+        acted = true;
         if (!dedicated)
             ++issued;
 
@@ -515,6 +564,7 @@ SmtCore::issueStage()
     // sorted, so the next cycle merges only fresh insertions.
     ready_.swap(readyKept_);
     readySortedPrefix_ = ready_.size();
+    return acted;
 }
 
 Cycle
@@ -572,15 +622,17 @@ SmtCore::issueMemAccess(DynInst &di)
     return res.latency;
 }
 
-void
+bool
 SmtCore::completeStage()
 {
+    bool acted = false;
     while (!completions_.empty() && completions_.top().first <= cycle_) {
         SeqNum seq = completions_.top().second;
         completions_.pop();
         DynInst *di = inst(seq);
         if (!di || !di->issued || di->completed)
             continue;  // squashed or stale event
+        acted = true;
         di->completed = true;
         wakeupDependents(*di);
 
@@ -593,6 +645,7 @@ SmtCore::completeStage()
         if (di->isBranch && !di->wrongPath)
             resolveBranch(*di);
     }
+    return acted;
 }
 
 void
@@ -776,9 +829,10 @@ SmtCore::handleLateResult(
     redirectFetch(br->thread, new_pc, cycle_ + 1);
 }
 
-void
+bool
 SmtCore::retireStage()
 {
+    bool acted = false;
     unsigned budget = cfg_.retireWidth;
 
     for (ThreadId tid = 0; tid < threads_.size() && budget > 0; ++tid) {
@@ -793,6 +847,7 @@ SmtCore::retireStage()
                 break;
             SS_ASSERT(!d->wrongPath, "wrong-path inst at retire");
 
+            acted = true;
             if (d->si->isStore() && !d->sliceThread && !d->fx.fault) {
                 if (!hierarchy_.retireStore(d->fx.memAddr, cycle_)) {
                     ++s_.retireWbStalls;
@@ -824,14 +879,16 @@ SmtCore::retireStage()
             inFlight_.erase(seq);
         }
 
-        if (t.isSlice && t.fetchEnded && t.rob.empty() && t.active)
+        if (t.isSlice && t.fetchEnded && t.rob.empty() && t.active) {
             releaseSliceThread(tid);
+            acted = true;
+        }
     }
 
     // slice.kill injection: forcibly terminate slices whose armed
     // kill cycle has arrived.
     if (injector_.armed(fault::Site::SliceKill))
-        applyInjectedSliceKills();
+        acted |= applyInjectedSliceKills();
 
     // Stop slices whose every branch-queue entry has been killed by a
     // retired (non-speculative) slice kill: none of their remaining
@@ -849,6 +906,7 @@ SmtCore::retireStage()
             t.fetchEnded = true;
             ++s_.slicesTerminatedDead;
             releaseSliceThread(tid);
+            acted = true;
         }
     }
 
@@ -858,11 +916,13 @@ SmtCore::retireStage()
     correlator_.retireUpTo(bound > 0 ? bound - 1 : 0);
     while (!storeUndoLog_.empty() && storeUndoLog_.front().seq < bound)
         storeUndoLog_.pop_front();
+    return acted;
 }
 
-void
+bool
 SmtCore::applyInjectedSliceKills()
 {
+    bool killed = false;
     // Same termination sequence as a dead-slice stop: discard the
     // slice's in-flight work and its not-yet-computed correlator
     // slots, then release the thread. Slices never store, so no
@@ -879,7 +939,9 @@ SmtCore::applyInjectedSliceKills()
         SS_DTRACE(Slice, "injected kill tid=", int{tid},
                   " forkSeq=", t.forkSeq, " cyc=", cycle_);
         releaseSliceThread(tid);
+        killed = true;
     }
+    return killed;
 }
 
 std::string

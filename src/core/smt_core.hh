@@ -19,7 +19,6 @@
 
 #include <array>
 #include <deque>
-#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "common/types.hh"
 #include "core/config.hh"
 #include "core/dyninst.hh"
+#include "core/inflight.hh"
 #include "core/perfect.hh"
 #include "fault/fault.hh"
 #include "isa/program.hh"
@@ -365,12 +365,15 @@ class SmtCore
     };
 
     // ---- pipeline stages (one file per stage) ----
-    void fetchStage();
-    void fetchFrom(ThreadId tid);
+    // Each stage returns whether it acted: changed any pipeline state
+    // beyond the per-cycle fetch_window_stalls count. run() skips the
+    // cycles after one in which no stage acted (nextEventCycle()).
+    bool fetchStage();
+    bool fetchFrom(ThreadId tid);
     bool fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched);
-    void issueStage();
-    void completeStage();
-    void retireStage();
+    bool issueStage();
+    bool completeStage();
+    bool retireStage();
 
     // ---- helpers ----
     ThreadId pickFetchThread(bool slices_only = false) const;
@@ -398,8 +401,17 @@ class SmtCore
     void handleLateResult(
         const slice::PredictionCorrelator::LateResult &late);
     SeqNum oldestInFlight() const;
-    /** Kill slice threads whose injected killAtCycle has passed. */
-    void applyInjectedSliceKills();
+    /**
+     * The earliest cycle at which a pipeline that did not act this
+     * cycle can act again: the next completion, the earliest
+     * eligibleAt among unissued ready instructions, a fetching
+     * thread's fetchStallUntil or an armed injected slice kill. At or
+     * before cycle_ when an eligible instruction could not issue.
+     */
+    Cycle nextEventCycle() const;
+    /** Kill slice threads whose injected killAtCycle has passed.
+     *  @return true if any was killed. */
+    bool applyInjectedSliceKills();
     /** Structured no-forward-progress report for the watchdog. */
     std::string diagnoseStall(Cycle stalled_for);
     void resetStats();
@@ -442,61 +454,13 @@ class SmtCore
     /** Retirement-time architectural checker (null = off). */
     check::RetireChecker *checker_ = nullptr;
 
-    /**
-     * The in-flight instruction window, keyed by VN#. Sequence
-     * numbers are handed out densely and instructions are inserted in
-     * VN# order, so the live range [base, base + slots) stays within
-     * a few window sizes; a deque of optionals gives O(1) lookup with
-     * no hashing and no per-instruction node allocation. Deque
-     * end-operations keep references to other elements stable, same
-     * as the node-based map this replaces.
-     */
-    class InFlightWindow
-    {
-      public:
-        DynInst *
-        find(SeqNum seq)
-        {
-            if (seq < base_ || seq - base_ >= slots_.size())
-                return nullptr;
-            auto &slot = slots_[seq - base_];
-            return slot ? &*slot : nullptr;
-        }
-
-        /** Insert seq's instruction; seq must be newer than all
-         *  previous insertions. */
-        DynInst &
-        emplace(SeqNum seq, DynInst &&di)
-        {
-            if (slots_.empty())
-                base_ = seq;
-            while (base_ + slots_.size() < seq)
-                slots_.emplace_back(std::nullopt);
-            return *slots_.emplace_back(std::move(di));
-        }
-
-        void
-        erase(SeqNum seq)
-        {
-            if (seq < base_ || seq - base_ >= slots_.size())
-                return;
-            slots_[seq - base_].reset();
-            while (!slots_.empty() && !slots_.front()) {
-                slots_.pop_front();
-                ++base_;
-            }
-        }
-
-      private:
-        SeqNum base_ = 0;
-        std::deque<std::optional<DynInst>> slots_;
-    };
-
     // ---- dynamic state ----
     Cycle cycle_ = 0;
     SeqNum nextSeq_ = 1;
     std::vector<ThreadCtx> threads_;
-    InFlightWindow inFlight_;
+    /** Sized to the window bound: windowSize, doubled when helper
+     *  threads have their own window. */
+    InFlightPool inFlight_;
     unsigned windowOccupancy_ = 0;
     /** Separate helper-thread window (dedicated-resources mode). */
     unsigned sliceWindowOccupancy_ = 0;

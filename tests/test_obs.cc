@@ -272,6 +272,60 @@ TEST(IntervalStats, WindowDeltasSumToFinalCounters)
               res.cycles);
 }
 
+// Quiescent-cycle skipping must land exactly on every timed event: an
+// interval boundary and the watchdog deadline are the two a caller sees.
+
+TEST(CoreQuiescence, IntervalWindowsKeepExactLength)
+{
+    auto wl = workloads::buildMcf(smallParams());
+    sim::Simulator simr(sim::MachineConfig::fourWide());
+
+    auto opts = runOpts();
+    opts.intervalCycles = 37;
+    auto res = simr.run(wl, opts, true);
+
+    ASSERT_GE(res.intervals.size(), 100u);
+    for (std::size_t i = 0; i < res.intervals.size(); ++i) {
+        const obs::IntervalRecord &r = res.intervals[i];
+        if (i + 1 < res.intervals.size())
+            EXPECT_EQ(r.endCycle - r.startCycle, 37u) << "window " << i;
+        else
+            EXPECT_LE(r.endCycle - r.startCycle, 37u);
+        if (i) {
+            EXPECT_EQ(r.startCycle, res.intervals[i - 1].endCycle);
+        }
+    }
+    EXPECT_EQ(res.intervals.back().endCycle -
+                  res.intervals.front().startCycle,
+              res.cycles);
+}
+
+TEST(CoreQuiescence, WatchdogFiresOnItsCycle)
+{
+    // mcf's first instruction-line fill comes from memory and stalls
+    // fetch for over 100 cycles with nothing else in flight; each of
+    // these deadlines falls inside that stall.
+    auto wl = workloads::buildMcf(smallParams());
+    for (Cycle limit : {Cycle{37}, Cycle{60}, Cycle{101}}) {
+        sim::Simulator simr(sim::MachineConfig::fourWide());
+        core::RunOptions opts;
+        opts.maxMainInstructions = 10'000;
+        opts.watchdogCycles = limit;
+        testing::internal::CaptureStderr();
+        auto res = simr.run(wl, opts, true);
+        testing::internal::GetCapturedStderr();
+
+        EXPECT_EQ(res.outcome, core::SimOutcome::Watchdog);
+        EXPECT_EQ(res.totalCycles, limit);
+        const std::string expect = "retired nothing for " +
+                                   std::to_string(limit) +
+                                   " cycles (cycle " +
+                                   std::to_string(limit) + ", retired 0)";
+        EXPECT_NE(res.diagnosis.find(expect), std::string::npos)
+            << res.diagnosis;
+    }
+}
+
 // ---------------------------------------------------------------
 // Determinism across worker counts
 // ---------------------------------------------------------------

@@ -145,7 +145,7 @@ usage(int code)
         "                    content-addressed result cache (default\n"
         "                    $SS_CACHE_DIR), simulate only what it is\n"
         "                    missing (after a no-op rebuild the whole\n"
-        "                    sweep is served)\n"
+        "                    sweep is served); --cache=DIR also works\n"
         "  --fsck            scrub --cache: verify every entry's\n"
         "                    header + checksum, quarantine corrupt\n"
         "                    ones, rebuild the LRU index; prints a\n"
@@ -244,6 +244,8 @@ parseArgs(int argc, char **argv)
             o.checkpoints = next();
         } else if (a == "--cache") {
             next();  // opened by bench::openCacheOption
+        } else if (a.rfind("--cache=", 0) == 0) {
+            // also opened by bench::openCacheOption
         } else if (a == "--fsck") {
             o.fsck = true;
         } else if (a == "--fsck-delete") {
