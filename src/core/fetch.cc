@@ -315,7 +315,7 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
     ++t.icount;
     ++fetched;
     if (issue_ready)
-        ready_.push_back(seq);
+        ready_.push_back({seq, di.eligibleAt});
 
     if (t.isSlice) {
         ++s_.sliceFetched;

@@ -1,7 +1,7 @@
 /**
  * @file
- * The in-flight instruction window: a fixed pool of DynInst slots and
- * a VN# -> slot index.
+ * The in-flight instruction window: a fixed pool of DynInst slots, a
+ * VN# -> slot index, and the per-thread reorder-buffer ring.
  */
 
 #ifndef SPECSLICE_CORE_INFLIGHT_HH
@@ -87,11 +87,7 @@ class InFlightPool
         index_[i] = {seq, slot};
 
         DynInst &d = slots_[slot];
-        std::vector<SeqNum> deps = std::move(d.dependents);
-        deps.clear();
-        d = DynInst{};
-        d.dependents = std::move(deps);
-        d.seq = seq;
+        d.reuse(seq);
         return d;
     }
 
@@ -144,6 +140,56 @@ class InFlightPool
     std::vector<Bucket> index_;         ///< power-of-two size, <= 1/2 full
     std::size_t mask_;
     unsigned shift_;
+};
+
+/**
+ * A thread's reorder buffer: its in-flight VN#s in fetch order, oldest
+ * first, in a fixed power-of-two ring. The window-occupancy counter
+ * the thread charges bounds its ROB, so the ring is sized once to the
+ * window and push_back() panics if that bound is broken.
+ */
+class RobRing
+{
+  public:
+    explicit RobRing(std::size_t capacity = 1)
+        : buf_(std::bit_ceil(std::max<std::size_t>(capacity, 1))),
+          mask_(buf_.size() - 1)
+    {}
+
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    /** The i-th oldest VN# (0 = front). */
+    SeqNum
+    operator[](std::size_t i) const
+    {
+        return buf_[(head_ + i) & mask_];
+    }
+
+    SeqNum front() const { return buf_[head_]; }
+    SeqNum back() const { return (*this)[size_ - 1]; }
+
+    void
+    push_back(SeqNum seq)
+    {
+        SS_ASSERT(size_ < buf_.size(), "ROB bound exceeded (",
+                  buf_.size(), " entries)");
+        buf_[(head_ + size_++) & mask_] = seq;
+    }
+
+    void
+    pop_front()
+    {
+        head_ = (head_ + 1) & mask_;
+        --size_;
+    }
+
+    void pop_back() { --size_; }
+
+  private:
+    std::vector<SeqNum> buf_;
+    std::size_t mask_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
 };
 
 } // namespace specslice::core

@@ -108,6 +108,9 @@ SmtCore::SmtCore(const CoreConfig &cfg, const isa::Program &program,
 {
     SS_ASSERT(cfg.numThreads >= 1, "need at least the main thread");
     threads_.resize(cfg.numThreads);
+    // A thread's ROB never outgrows the window counter it charges.
+    for (ThreadCtx &t : threads_)
+        t.rob = RobRing(cfg.windowSize);
 }
 
 void
@@ -128,10 +131,12 @@ SmtCore::nextEventCycle() const
     Cycle next = ~Cycle{0};
     if (!completions_.empty())
         next = completions_.top().first;
-    for (SeqNum seq : ready_) {
-        const DynInst *di = inFlight_.find(seq);
+    for (const ReadyEntry &e : ready_) {
+        if (e.eligibleAt >= next)
+            continue;
+        const DynInst *di = inFlight_.find(e.seq);
         if (di && !di->issued)
-            next = std::min(next, di->eligibleAt);
+            next = e.eligibleAt;
     }
     for (const ThreadCtx &t : threads_) {
         if (!t.active || t.fetchEnded)
@@ -468,7 +473,7 @@ SmtCore::wakeupDependents(DynInst &di)
             continue;
         SS_ASSERT(d->pendingSrcs > 0, "wakeup underflow");
         if (--d->pendingSrcs == 0 && !d->issued)
-            ready_.push_back(d->seq);
+            ready_.push_back({d->seq, d->eligibleAt});
     }
     di.dependents.clear();
 }
@@ -476,29 +481,33 @@ SmtCore::wakeupDependents(DynInst &di)
 bool
 SmtCore::issueStage()
 {
-    // Sort the entries appended since the last drain and merge them
-    // into the sorted prefix: the scan below then visits candidates
-    // in VN# (oldest-first) order, exactly as the ordered set did.
-    if (readySortedPrefix_ < ready_.size()) {
-        auto mid = ready_.begin() +
-                   static_cast<std::ptrdiff_t>(readySortedPrefix_);
-        std::sort(mid, ready_.end());
-        std::inplace_merge(ready_.begin(), mid, ready_.end());
-    }
+    // Sort the entries appended since the last drain; the scan below
+    // merges them with the sorted prefix as it goes, so it visits
+    // candidates in VN# (oldest-first) order.
+    const auto mid =
+        ready_.begin() + static_cast<std::ptrdiff_t>(readySortedPrefix_);
+    std::sort(mid, ready_.end(),
+              [](const ReadyEntry &a, const ReadyEntry &b) {
+                  return a.seq < b.seq;
+              });
 
     bool acted = false;
     unsigned issued = 0;
     unsigned int_alu = 0, mem_ports = 0, complex = 0, fp = 0;
     readyKept_.clear();
 
-    for (SeqNum seq : ready_) {
+    for (auto a = ready_.begin(), b = mid; a != mid || b != ready_.end();) {
+        const ReadyEntry e =
+            b == ready_.end() || (a != mid && a->seq < b->seq) ? *a++
+                                                               : *b++;
+        if (e.eligibleAt > cycle_) {
+            readyKept_.push_back(e);
+            continue;
+        }
+        const SeqNum seq = e.seq;
         DynInst *di = inst(seq);
         if (!di || di->issued)
             continue;  // squashed since insertion: drop lazily
-        if (di->eligibleAt > cycle_) {
-            readyKept_.push_back(seq);
-            continue;
-        }
 
         const isa::OpTraits &tr = di->si->traits();
         // With dedicated slice resources, helper-thread instructions
@@ -507,7 +516,7 @@ SmtCore::issueStage()
         bool dedicated =
             di->sliceThread && cfg_.dedicatedSliceResources;
         if (!dedicated && issued >= cfg_.issueWidth) {
-            readyKept_.push_back(seq);
+            readyKept_.push_back(e);
             continue;
         }
 
@@ -538,7 +547,7 @@ SmtCore::issueStage()
             break;
         }
         if (!fu_ok) {
-            readyKept_.push_back(seq);
+            readyKept_.push_back(e);
             continue;
         }
 
@@ -893,13 +902,20 @@ SmtCore::retireStage()
     // Stop slices whose every branch-queue entry has been killed by a
     // retired (non-speculative) slice kill: none of their remaining
     // work can be consumed, so squash them to free the shared window.
+    // The correlator reports such a slice once, at the first bound at
+    // which it qualifies; this must run before retireUpTo() below,
+    // which frees dead entries, with the bound taken before any of
+    // these squashes can raise it.
     if (cfg_.terminateDeadSlices) {
-        SeqNum retired_bound = oldestInFlight() - 1;
-        for (ThreadId tid = 1; tid < threads_.size(); ++tid) {
+        const std::vector<SeqNum> &dead =
+            correlator_.deadSlices(oldestInFlight() - 1);
+        for (ThreadId tid = 1; !dead.empty() && tid < threads_.size();
+             ++tid) {
             ThreadCtx &t = threads_[tid];
             if (!t.isSlice || !t.active || t.fetchEnded)
                 continue;
-            if (!correlator_.allEntriesDead(t.forkSeq, retired_bound))
+            if (std::find(dead.begin(), dead.end(), t.forkSeq) ==
+                dead.end())
                 continue;
             squashThread(tid, invalidSeqNum, false);
             correlator_.squashSlice(t.forkSeq, invalidSeqNum);
@@ -965,8 +981,8 @@ SmtCore::diagnoseStall(Cycle stalled_for)
 
     // Stalled-stage breakdown of the main-thread ROB.
     std::size_t wait_src = 0, wait_issue = 0, in_flight = 0, done = 0;
-    for (SeqNum seq : main.rob) {
-        DynInst *di = inst(seq);
+    for (std::size_t i = 0; i < main.rob.size(); ++i) {
+        DynInst *di = inst(main.rob[i]);
         if (!di)
             continue;
         if (di->completed)
@@ -1025,10 +1041,17 @@ SmtCore::diagnoseStall(Cycle stalled_for)
                       t.rob.size(), int{t.fetchEnded}, t.loopIters);
         d += buf;
     }
+    // ready_ still holds squashed entries not yet dropped: count the
+    // live ones.
+    std::size_t ready = 0;
+    for (const ReadyEntry &e : ready_) {
+        const DynInst *di = inst(e.seq);
+        ready += di && !di->issued;
+    }
     std::snprintf(buf, sizeof(buf),
                   "\n  threads: %u live slices, ready queue %zu, "
                   "correlator entries %zu",
-                  live_slices, ready_.size(),
+                  live_slices, ready,
                   correlator_.liveEntries());
     d += buf;
     if (injector_.enabled()) {

@@ -345,7 +345,7 @@ class SmtCore
         Cycle fetchStallUntil = 0;
         bool fetchEnded = false;        ///< halt/terminate: drain only
         arch::RegFile regs;
-        std::deque<SeqNum> rob;         ///< fetch order, oldest first
+        RobRing rob;                    ///< fetch order, oldest first
         std::array<SeqNum, isa::numRegs> lastWriter{};
         unsigned icount = 0;            ///< in-flight count (ICOUNT)
         // Slice-thread fields.
@@ -471,19 +471,26 @@ class SmtCore
         std::uint8_t probe = 0;       ///< periodic re-probe counter
     };
     std::unordered_map<Addr, ForkGate> forkGate_;
+    /** An instruction whose sources are ready, with its (fixed)
+     *  earliest issue cycle so a not-yet-eligible entry is passed
+     *  over without a window lookup. */
+    struct ReadyEntry
+    {
+        SeqNum seq;
+        Cycle eligibleAt;
+    };
     /**
      * Ready-to-issue instructions. Insertions (fetch and wakeup) are
      * appended; issueStage sorts the appended tail once per cycle and
-     * drains in VN# order — identical selection order to the ordered
-     * set this replaces, without per-insert node allocation or
-     * rebalancing. Squashed entries are dropped lazily (their VN# no
-     * longer resolves in the in-flight window).
+     * walks it merged with the sorted prefix, in VN# order. Squashed
+     * entries are dropped lazily, once eligible (their VN# no longer
+     * resolves in the in-flight window).
      */
-    std::vector<SeqNum> ready_;
+    std::vector<ReadyEntry> ready_;
     /** Prefix of ready_ already in sorted order. */
     std::size_t readySortedPrefix_ = 0;
     /** Scratch for the per-cycle drain (kept to reuse capacity). */
-    std::vector<SeqNum> readyKept_;
+    std::vector<ReadyEntry> readyKept_;
     using Event = std::pair<Cycle, SeqNum>;
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
         completions_;

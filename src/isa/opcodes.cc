@@ -98,21 +98,23 @@ makeTraits(Opcode op, OpKind k, FuClass fu, unsigned latency,
     return t;
 }
 
-constexpr OpTraits traitTable[] = {
+} // namespace
+
+namespace detail
+{
+
+constexpr OpTraits opTraitTable[] = {
 #define SS_OP(name, method, kind, fu, lat, bytes, sgn, sem)              \
     makeTraits(Opcode::name, OpKind::kind, FuClass::fu, lat, bytes, sgn),
 #include "isa/opcodes.def"
 };
 
-} // namespace
-
-const OpTraits &
-opTraits(Opcode op)
+void
+badOpcode(std::size_t idx)
 {
-    auto idx = static_cast<std::size_t>(op);
-    SS_ASSERT(idx < static_cast<std::size_t>(Opcode::NumOpcodes),
-              "bad opcode ", idx);
-    return traitTable[idx];
+    SS_PANIC("bad opcode ", idx);
 }
+
+} // namespace detail
 
 } // namespace specslice::isa

@@ -20,6 +20,7 @@
 #ifndef SPECSLICE_ISA_OPCODES_HH
 #define SPECSLICE_ISA_OPCODES_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace specslice::isa
@@ -78,8 +79,23 @@ struct OpTraits
     bool hasImm;
 };
 
-/** @return the static traits of op. */
-const OpTraits &opTraits(Opcode op);
+namespace detail
+{
+/** Traits of every opcode, indexed by its number (see opcodes.cc). */
+extern const OpTraits opTraitTable[];
+/** Panics: @p idx is not an opcode number. */
+[[noreturn]] void badOpcode(std::size_t idx);
+} // namespace detail
+
+/** @return the static traits of op; panics on an out-of-range op. */
+inline const OpTraits &
+opTraits(Opcode op)
+{
+    const auto idx = static_cast<std::size_t>(op);
+    if (idx >= static_cast<std::size_t>(Opcode::NumOpcodes)) [[unlikely]]
+        detail::badOpcode(idx);
+    return detail::opTraitTable[idx];
+}
 
 /** @return the register value a load of the given width and
  *  extension produces from raw, the zero-extended bytes it read. */

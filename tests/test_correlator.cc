@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "slice/correlator.hh"
 #include "slice/slice_table.hh"
 
@@ -256,6 +258,74 @@ TEST(CorrelatorTest, AllEntriesDeadRequiresRetiredKill)
     c.onKillFetch(killPc, 400);
     EXPECT_FALSE(c.allEntriesDead(100, 399));  // kill speculative
     EXPECT_TRUE(c.allEntriesDead(100, 400));   // kill retired
+}
+
+TEST(CorrelatorTest, DeadSliceReportedAfterEarlierEntryFreed)
+{
+    // Two problem branches, each with its own slice kill: the first
+    // entry dies, retires and is freed long before the second dies.
+    // Once the second kill retires the slice has only dead entries
+    // left and must be reported, exactly once.
+    PredictionCorrelator c;
+    SliceDescriptor sd = makeSlice();
+    PgiSpec second = sd.pgis[0];
+    second.sliceInstPc = slicePgiPc + 8;
+    second.problemBranchPc = branchPc + 0x40;
+    second.loopKillPc = loopPc + 0x40;
+    second.sliceKillPc = killPc + 0x40;
+    sd.pgis.push_back(second);
+    c.onFork(sd, 1, 100);
+    ASSERT_EQ(c.liveEntries(), 2u);
+
+    c.onKillFetch(killPc, 300);
+    EXPECT_TRUE(c.deadSlices(299).empty());  // kill speculative
+    EXPECT_TRUE(c.deadSlices(300).empty());  // second entry alive
+    c.retireUpTo(300);
+    EXPECT_EQ(c.liveEntries(), 1u);          // first entry freed
+    EXPECT_TRUE(c.deadSlices(350).empty());
+
+    c.onKillFetch(killPc + 0x40, 400);
+    EXPECT_TRUE(c.deadSlices(399).empty());
+    EXPECT_FALSE(c.allEntriesDead(100, 399));
+    EXPECT_TRUE(c.allEntriesDead(100, 400));
+    EXPECT_EQ(c.deadSlices(400), std::vector<SeqNum>{100});
+    EXPECT_TRUE(c.deadSlices(401).empty());  // reported once
+}
+
+TEST(CorrelatorTest, SquashedDeadKillReportsNothing)
+{
+    PredictionCorrelator c;
+    SliceDescriptor sd = makeSlice();
+    c.onFork(sd, 1, 100);
+    c.onPgiFetch(sd.pgis[0], 100, 1001);
+    c.onKillFetch(killPc, 400);
+    c.squashMain(399);  // the killing instruction was wrong-path
+    EXPECT_TRUE(c.deadSlices(400).empty());
+    EXPECT_TRUE(c.deadSlices(10'000).empty());
+    EXPECT_FALSE(c.allEntriesDead(100, 10'000));
+    EXPECT_EQ(c.liveEntries(), 1u);
+}
+
+TEST(CorrelatorTest, DeadSliceReportedWhenLiveSiblingEvicted)
+{
+    // Capacity eviction of a slice's only live entry leaves it with
+    // dead ones alone: the free must reopen the dead-slice check even
+    // though the bound crosses no new kill.
+    PredictionCorrelator c(PredictionCorrelator::Config{2, 8});
+    SliceDescriptor sd = makeSlice();
+    PgiSpec second = sd.pgis[0];
+    second.problemBranchPc = branchPc + 0x40;
+    second.sliceKillPc = killPc + 0x40;
+    sd.pgis.insert(sd.pgis.begin(), second);  // the live one is oldest
+    c.onFork(sd, 1, 100);
+    c.onKillFetch(killPc, 300);
+    EXPECT_TRUE(c.deadSlices(300).empty());
+    EXPECT_TRUE(c.deadSlices(500).empty());
+
+    SliceDescriptor other = makeSlice();
+    other.pgis[0].problemBranchPc = branchPc + 0x80;
+    c.onFork(other, 2, 600);  // evicts fork 100's live entry
+    EXPECT_EQ(c.deadSlices(600), std::vector<SeqNum>{100});
 }
 
 TEST(CorrelatorTest, RetirementReclaimsSlotsAndEntries)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <random>
@@ -139,4 +140,42 @@ TEST(InFlightPool, ExceedingTheWindowBoundAsserts)
     ScopedThrowErrors throwing;
     EXPECT_THROW(pool.insert(5), SimError);
     EXPECT_THROW(pool.erase(99), SimError);
+}
+
+TEST(RobRing, WrapsInFetchOrderAndSquashesFromTheBack)
+{
+    // Capacity rounds up to a power of two; every push/pop pattern of
+    // a ROB (fetch at the back, retire at the front, squash from the
+    // back) must agree with a deque through many wraps.
+    core::RobRing rob(6);
+    std::deque<SeqNum> ref;
+    std::mt19937_64 rng(3);
+    SeqNum next = 1;
+    for (int step = 0; step < 5'000; ++step) {
+        const unsigned r = rng() % 4;
+        if (r < 2 && ref.size() < 6) {
+            rob.push_back(next);
+            ref.push_back(next++);
+        } else if (r == 2 && !ref.empty()) {
+            rob.pop_front();
+            ref.pop_front();
+        } else if (!ref.empty()) {
+            rob.pop_back();
+            ref.pop_back();
+        }
+        ASSERT_EQ(rob.size(), ref.size());
+        ASSERT_EQ(rob.empty(), ref.empty());
+        if (!ref.empty()) {
+            ASSERT_EQ(rob.front(), ref.front());
+            ASSERT_EQ(rob.back(), ref.back());
+        }
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(rob[i], ref[i]);
+    }
+    EXPECT_GT(next, 1'000u);
+
+    for (std::size_t i = rob.size(); i < 8; ++i)
+        rob.push_back(next++);
+    ScopedThrowErrors throwing;
+    EXPECT_THROW(rob.push_back(next), SimError);
 }

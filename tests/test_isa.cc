@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failure.hh"
 #include "common/rng.hh"
 #include "isa/assembler.hh"
 #include "isa/encoding.hh"
@@ -28,6 +29,13 @@ TEST(OpTraits, EveryOpcodeHasTraits)
                     t.isUncondDirect + t.isIndirect;
         EXPECT_LE(kinds, 1) << t.mnemonic;
     }
+}
+
+TEST(OpTraits, OutOfRangeOpcodeAsserts)
+{
+    ScopedThrowErrors throwing;
+    EXPECT_THROW(opTraits(Opcode::NumOpcodes), SimError);
+    EXPECT_THROW(opTraits(static_cast<Opcode>(0xffff)), SimError);
 }
 
 TEST(OpTraits, MnemonicsAndMemoryWidths)

@@ -326,6 +326,39 @@ TEST(CoreQuiescence, WatchdogFiresOnItsCycle)
     }
 }
 
+// The issue stage selects oldest-first: within one cycle, issued
+// instructions appear in ascending VN# order whatever order they
+// became ready in (fetch, wakeup) and whichever thread they belong to.
+TEST(CoreIssue, OldestFirstWithinCycle)
+{
+    auto wl = workloads::buildGap(smallParams());
+    sim::Simulator simr(sim::MachineConfig::fourWide());
+    obs::EventBuffer events(1u << 21);
+
+    auto opts = runOpts(20'000);
+    opts.events = &events;
+    auto res = simr.run(wl, opts, true);
+    ASSERT_GT(res.forks, 0u) << "no slice threads ran";
+    ASSERT_EQ(events.dropped(), 0u) << "ring too small for this run";
+
+    std::size_t issues = 0, multi_issue_cycles = 0;
+    Cycle cycle = 0;
+    SeqNum last = invalidSeqNum;
+    events.forEach([&](const obs::TraceEvent &e) {
+        if (e.kind != obs::EventKind::Issue)
+            return;
+        ++issues;
+        if (last != invalidSeqNum && e.cycle == cycle) {
+            ++multi_issue_cycles;
+            EXPECT_GT(e.seq, last) << "cycle " << e.cycle;
+        }
+        cycle = e.cycle;
+        last = e.seq;
+    });
+    EXPECT_GT(issues, 20'000u);
+    EXPECT_GT(multi_issue_cycles, 1'000u);
+}
+
 // ---------------------------------------------------------------
 // Determinism across worker counts
 // ---------------------------------------------------------------

@@ -3,10 +3,14 @@
  * Tests for the Section 6.3 overhead-reduction extensions: the
  * fork-confidence gate (skips useless fork points, keeps useful ones,
  * re-probes) and dedicated slice resources (separate fetch/window/
- * issue for helper threads).
+ * issue for helper threads), plus exact counters of the three Section
+ * 6.3 ablation configurations.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -140,4 +144,69 @@ TEST(DedicatedResources, SlicesFetchInParallelWithMain)
 
     EXPECT_GE(r2.sliceFetched + 1000, r1.sliceFetched);
     EXPECT_GT(r2.forks, 100u);
+}
+
+// ---------------------------------------------------------------
+// Exact counters of the Section 6.3 ablation configurations. Golden
+// digests pin only the default machine; these pin the three switches
+// the overhead study flips, so a host-speed change to the core that
+// perturbs any of them shows up as a counter diff.
+
+namespace
+{
+
+struct AblationPin
+{
+    const char *workload;
+    std::uint64_t cycles;
+    std::uint64_t forks;
+    std::uint64_t sliceFetched;
+    std::uint64_t slicesTerminatedDead;
+    std::uint64_t mispredictions;
+};
+
+void
+checkPins(const sim::MachineConfig &cfg,
+          const std::vector<AblationPin> &pins)
+{
+    for (const AblationPin &pin : pins) {
+        const std::string name = pin.workload;
+        auto wl = name == "vpr" ? workloads::buildVpr(params())
+                                : workloads::buildMcf(params());
+        sim::Simulator simr(cfg);
+        auto r = simr.run(wl, opts(), true);
+        EXPECT_EQ(r.cycles, pin.cycles) << name;
+        EXPECT_EQ(r.forks, pin.forks) << name;
+        EXPECT_EQ(r.sliceFetched, pin.sliceFetched) << name;
+        EXPECT_EQ(r.detail.get("slices_terminated_dead"),
+                  pin.slicesTerminatedDead)
+            << name;
+        EXPECT_EQ(r.mispredictions, pin.mispredictions) << name;
+    }
+}
+
+} // namespace
+
+TEST(AblationPin, NoDeadSliceTermination)
+{
+    sim::MachineConfig cfg = sim::MachineConfig::fourWide();
+    cfg.terminateDeadSlices = false;
+    checkPins(cfg, {{"vpr", 59'974, 483, 70'492, 0, 12},
+                    {"mcf", 825'259, 522, 60'333, 0, 3'872}});
+}
+
+TEST(AblationPin, DedicatedSliceResources)
+{
+    sim::MachineConfig cfg = sim::MachineConfig::fourWide();
+    cfg.dedicatedSliceResources = true;
+    checkPins(cfg, {{"vpr", 54'082, 560, 64'681, 196, 218},
+                    {"mcf", 818'301, 820, 55'770, 0, 4'067}});
+}
+
+TEST(AblationPin, ForkConfidenceGating)
+{
+    sim::MachineConfig cfg = sim::MachineConfig::fourWide();
+    cfg.forkConfidenceGating = true;
+    checkPins(cfg, {{"vpr", 57'289, 484, 52'269, 416, 1},
+                    {"mcf", 932'866, 27, 3'223, 6, 4'325}});
 }
