@@ -56,9 +56,9 @@ namespace specslice::bench
  *   5 — wall-clock fields ("wall_seconds"/"sim_insts_per_sec") become
  *       omittable (--no-wall); optional "cached" marker (additive;
  *       no longer emitted)
- *   6 — trace-driven runs: specslice_run --trace-file, and
- *       specslice_replay emits per-trace replay documents/
- *       BENCH_replay.json stamped with this version
+ *   6 — specslice_run could run from a trace file (removed since,
+ *       with the on-disk trace format); specslice_replay emits
+ *       replay documents/BENCH_replay.json stamped with this version
  *
  * The constant itself lives in sim/result_json.hh so specslice_run
  * --json stamps the same version.

@@ -227,20 +227,6 @@ struct RunOptions
     /** After fast-forwarding, save the pre-region architectural state
      *  here ("" = don't). */
     std::string saveCheckpoint;
-
-    // ---- trace-driven runs (interpreted by the callers that load
-    //      the workload: trace::loadTraceWorkload rebuilds the
-    //      embedded program/memory/slices and the simulator runs it
-    //      like any other workload) ----
-    /**
-     * The sstr trace file this run's workload was reconstructed from
-     * ("" = a builder-made workload). The core never reads it; it is
-     * run *identity*: sim::runCacheKey folds the file's content hash
-     * into the cache key, so a rewritten trace invalidates cached
-     * results by construction and a trace-mode run never aliases the
-     * equivalent workload-mode run.
-     */
-    std::string traceFile;
 };
 
 /** Aggregated results of a run. */

@@ -111,8 +111,7 @@ std::string errorDocument(const std::string &workload,
  * One golden-digest section for a finished run: the exact counter set
  * specslice_verify commits to golden/ (every top-level counter, every
  * "detail."-prefixed subsystem counter, the ipc ratio). Shared by the
- * verify tool and specslice_replay --sim so a trace-mode digest is
- * built from the same fields as the execution-mode corpus.
+ * verify tool and specbench, so both digest the same fields.
  */
 check::Digest::Section digestSection(const std::string &config,
                                      const RunResult &r);

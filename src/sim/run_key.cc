@@ -230,19 +230,6 @@ writeOptions(KeyWriter &w, const RunOptions &o)
         }
         w.put("opts.restore_checkpoint_sha256", restore);
     }
-    // Trace-driven runs are keyed by the trace's *content*, not its
-    // path: re-emitting a trace over the same filename must miss (the
-    // records changed), and the same trace copied elsewhere must hit.
-    {
-        std::string tracehash;
-        if (!o.traceFile.empty()) {
-            std::string err;
-            tracehash = sha256FileHex(o.traceFile, err);
-            if (tracehash.empty())
-                tracehash = "unreadable:" + o.traceFile;
-        }
-        w.put("opts.trace_file_sha256", tracehash);
-    }
 }
 
 } // namespace

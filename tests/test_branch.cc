@@ -2,18 +2,25 @@
  * @file
  * Branch-prediction tests: YAGS learning behaviour (bias, patterns,
  * the loop-exit aliasing regression), the cascaded indirect predictor,
- * the return address stack, history checkpointing, and the composite
- * predictor unit.
+ * the return address stack, history checkpointing, the composite
+ * predictor unit, and in-order replay through the PredictorClient API.
  */
+
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "branch/history.hh"
 #include "branch/indirect.hh"
+#include "branch/predictor_client.hh"
 #include "branch/predictor_unit.hh"
 #include "branch/ras.hh"
+#include "branch/replay.hh"
 #include "branch/yags.hh"
 #include "common/rng.hh"
+#include "isa/assembler.hh"
+#include "workloads/workloads.hh"
 
 using namespace specslice;
 using namespace specslice::branch;
@@ -238,4 +245,234 @@ TEST(PredictorUnitTest, SpeculativeHistoryFollowsPrediction)
     bpu.predictCond(pcA, 0, c2);
     // c2's context saw the first (taken) prediction in history.
     EXPECT_EQ(c2.ghist & 1, 1u);
+}
+
+namespace
+{
+
+/** One logged client call: its name and up to three arguments. */
+std::string
+event(const char *what, Addr a, Addr b = 0, Addr c = 0)
+{
+    return std::string(what) + " " + std::to_string(a) + " " +
+           std::to_string(b) + " " + std::to_string(c);
+}
+
+Addr
+kindArg(TargetKind kind)
+{
+    return static_cast<Addr>(kind);
+}
+
+/**
+ * Logs every client call. Conditional branches predict backward-taken,
+ * returns pop a private stack of observed calls, and indirect targets
+ * are never known, so each mispredict counter has a known value.
+ */
+class RecordingClient : public PredictorClient
+{
+  public:
+    const char *name() const override { return "recording"; }
+
+    bool
+    predictCond(Addr pc, Addr taken_target) override
+    {
+        log("predictCond", pc, taken_target);
+        return taken_target < pc;
+    }
+
+    void
+    updateCond(Addr pc, bool taken) override
+    {
+        log("updateCond", pc, taken);
+    }
+
+    Addr
+    predictTarget(Addr pc, TargetKind kind) override
+    {
+        log("predictTarget", pc, kindArg(kind));
+        if (kind != TargetKind::Return || calls_.empty())
+            return invalidAddr;
+        const Addr top = calls_.back();
+        calls_.pop_back();
+        return top;
+    }
+
+    void
+    updateTarget(Addr pc, TargetKind kind, Addr target) override
+    {
+        log("updateTarget", pc, kindArg(kind), target);
+    }
+
+    void
+    observeCall(Addr return_pc) override
+    {
+        log("observeCall", return_pc);
+        calls_.push_back(return_pc);
+    }
+
+    void
+    report(std::map<std::string, std::uint64_t> &out) const override
+    {
+        out["events"] = events.size();
+    }
+
+    std::vector<std::string> events;
+
+  private:
+    void
+    log(const char *what, Addr a, Addr b = 0, Addr c = 0)
+    {
+        events.push_back(event(what, a, b, c));
+    }
+
+    std::vector<Addr> calls_;
+};
+
+/**
+ * Retires every replay kind: a direct jump, a loop whose conditional
+ * branch is taken once and then falls through, a store, a load and a
+ * direct call per iteration, then an indirect call, an indirect jump
+ * and a halt. The addresses the expected call sequence names are
+ * recorded as the code is emitted.
+ */
+struct KindsProgram
+{
+    static constexpr Addr codeBase = 0x10000;
+    static constexpr Addr dataBase = 0x100000;
+
+    isa::Program program;
+    Addr fn = 0, fnRet = 0, loop = 0, callSite = 0, branch = 0;
+    Addr callrSite = 0, jmpSite = 0;
+
+    KindsProgram()
+    {
+        isa::Assembler as(codeBase);
+        as.br("main");
+        fn = as.here();
+        as.label("fn");
+        as.addi(3, 3, 1);
+        fnRet = as.here();
+        as.ret();
+        as.label("main");
+        as.ldi(4, static_cast<std::int32_t>(dataBase));
+        as.ldi(2, 2);
+        loop = as.here();
+        as.label("loop");
+        as.stq(2, 4, 0);
+        as.ldq(5, 4, 0);
+        callSite = as.here();
+        as.call("fn");
+        as.subi(2, 2, 1);
+        branch = as.here();
+        as.bgt(2, "loop");
+        as.ldi(6, static_cast<std::int32_t>(fn));
+        callrSite = as.here();
+        as.callr(6);
+        jmpSite = as.here() + isa::instBytes;
+        as.ldi(7, static_cast<std::int32_t>(jmpSite + isa::instBytes));
+        as.jmp(7);
+        as.halt();
+        program.addSection(as.finish());
+    }
+
+    ReplayStats
+    replay(PredictorClient &client, std::uint64_t max_records) const
+    {
+        arch::MemoryImage mem;
+        return replayProgram(program, codeBase, mem, max_records, client);
+    }
+};
+
+} // namespace
+
+TEST(PredictorReplay, ClassifiesEveryRetiredKind)
+{
+    const KindsProgram p;
+    RecordingClient client;
+    const ReplayStats s = p.replay(client, 1'000);
+
+    EXPECT_EQ(s.records, 24u);
+    EXPECT_EQ(s.condBranches, 2u);
+    EXPECT_EQ(s.condTaken, 1u);
+    EXPECT_EQ(s.condMispredicts, 1u);  // the final fall-through
+    EXPECT_EQ(s.indirectBranches, 2u);
+    EXPECT_EQ(s.indirectMispredicts, 2u);
+    EXPECT_EQ(s.returns, 3u);
+    EXPECT_EQ(s.returnMispredicts, 0u);
+    EXPECT_EQ(s.calls, 3u);  // two direct, one indirect
+    EXPECT_EQ(s.uncondDirect, 1u);
+    EXPECT_EQ(s.loads, 2u);
+    EXPECT_EQ(s.stores, 2u);
+    EXPECT_EQ(s.halts, 1u);
+    EXPECT_EQ(s.others, 9u);
+
+    const Addr ret = kindArg(TargetKind::Return);
+    std::vector<std::string> want;
+    for (bool taken : {true, false}) {
+        want.push_back(event("observeCall", p.callSite + isa::instBytes));
+        want.push_back(event("predictTarget", p.fnRet, ret));
+        want.push_back(event("updateTarget", p.fnRet, ret,
+                             p.callSite + isa::instBytes));
+        want.push_back(event("predictCond", p.branch, p.loop));
+        want.push_back(event("updateCond", p.branch, taken));
+    }
+    const Addr call = kindArg(TargetKind::Call);
+    const Addr jump = kindArg(TargetKind::Jump);
+    want.push_back(event("predictTarget", p.callrSite, call));
+    want.push_back(event("observeCall", p.callrSite + isa::instBytes));
+    want.push_back(event("updateTarget", p.callrSite, call, p.fn));
+    want.push_back(event("predictTarget", p.fnRet, ret));
+    want.push_back(event("updateTarget", p.fnRet, ret,
+                         p.callrSite + isa::instBytes));
+    want.push_back(event("predictTarget", p.jmpSite, jump));
+    want.push_back(event("updateTarget", p.jmpSite, jump,
+                         p.jmpSite + isa::instBytes));
+    EXPECT_EQ(client.events, want);
+    EXPECT_EQ(s.clientCounters.at("events"), want.size());
+}
+
+TEST(PredictorReplay, StopsAtTheRecordBudget)
+{
+    const KindsProgram p;
+    RecordingClient client;
+    // br, ldi, ldi, stq, ldq: the budget ends before the first call.
+    const ReplayStats s = p.replay(client, 5);
+    EXPECT_EQ(s.records, 5u);
+    EXPECT_EQ(s.uncondDirect, 1u);
+    EXPECT_EQ(s.others, 2u);
+    EXPECT_EQ(s.stores, 1u);
+    EXPECT_EQ(s.loads, 1u);
+    EXPECT_EQ(s.calls, 0u);
+    EXPECT_TRUE(client.events.empty());
+}
+
+TEST(PredictorReplay, IsBitIdenticalAcrossRuns)
+{
+    const std::uint64_t records = 7'000;
+    workloads::Params wp;
+    wp.scale = records * 2;
+    wp.seed = 1;
+    const sim::Workload wl = workloads::buildWorkload("vpr", wp);
+    auto replayOnce = [&](PredictorClient &client) {
+        arch::MemoryImage mem;
+        wl.initMemory(mem);
+        return replayProgram(wl.program, wl.entry, mem, records, client);
+    };
+
+    for (const std::string &name : predictorClientNames()) {
+        auto c1 = makePredictorClient(name);
+        auto c2 = makePredictorClient(name);
+        ASSERT_TRUE(c1 && c2) << name;
+        const ReplayStats s1 = replayOnce(*c1);
+        const ReplayStats s2 = replayOnce(*c2);
+        EXPECT_EQ(s1.records, records) << name;
+        EXPECT_GT(s1.condBranches, 0u) << name;
+        // The digest section folds in every counter and client stat;
+        // equal sections = bit-identical replay.
+        const auto sec1 = replaySection(name, s1);
+        const auto sec2 = replaySection(name, s2);
+        EXPECT_EQ(sec1.counters, sec2.counters) << name;
+        EXPECT_EQ(sec1.ratios, sec2.ratios) << name;
+    }
 }

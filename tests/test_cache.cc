@@ -174,44 +174,6 @@ TEST(RunKeyTest, ObservationOnlyOptionsDoNotMoveTheKey)
     EXPECT_EQ(sim::runCacheKey(b.inputs()), k0);
 }
 
-TEST(RunKeyTest, TraceFileKeyedByContentNotPath)
-{
-    TempCacheDir dir;
-    std::filesystem::create_directories(dir.path());
-    const std::string a = dir.path() + "/a.sstr";
-    const std::string b = dir.path() + "/renamed.sstr";
-    { std::ofstream(a, std::ios::binary) << "sstr-bytes-v1"; }
-    { std::ofstream(b, std::ios::binary) << "sstr-bytes-v1"; }
-
-    KeyFixture plain;
-    const std::string k0 = sim::runCacheKey(plain.inputs());
-
-    // Trace mode never aliases workload mode.
-    KeyFixture fa;
-    fa.opts.traceFile = a;
-    const std::string ka = sim::runCacheKey(fa.inputs());
-    EXPECT_NE(ka, k0);
-
-    // Identical bytes under a different path: same key. A cache hit
-    // must be content-addressed, not path-addressed.
-    KeyFixture fb;
-    fb.opts.traceFile = b;
-    EXPECT_EQ(sim::runCacheKey(fb.inputs()), ka);
-
-    // Rewriting the file moves the key even though the path did not.
-    { std::ofstream(b, std::ios::binary | std::ios::trunc)
-          << "sstr-bytes-v2"; }
-    EXPECT_NE(sim::runCacheKey(fb.inputs()), ka);
-
-    // An unreadable trace gets a distinct, non-aliasing key rather
-    // than silently matching some real file's hash.
-    KeyFixture fm;
-    fm.opts.traceFile = dir.path() + "/missing.sstr";
-    const std::string km = sim::runCacheKey(fm.inputs());
-    EXPECT_NE(km, k0);
-    EXPECT_NE(km, ka);
-}
-
 TEST(RunKeyTest, CheckpointKeyCoversIdentityAndDepth)
 {
     sim::Workload wl = smallWorkload();

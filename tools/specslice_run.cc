@@ -42,7 +42,6 @@
 #include "sim/experiments.hh"
 #include "sim/result_json.hh"
 #include "sim/simulator.hh"
-#include "trace/frontend.hh"
 #include "workloads/workloads.hh"
 
 using namespace specslice;
@@ -53,7 +52,6 @@ namespace
 struct Options
 {
     std::string workload = "vpr";
-    std::string traceFile;  // run from an sstr trace instead
     unsigned width = 4;
     std::uint64_t insts = 300'000;
     std::uint64_t warmup = 100'000;
@@ -97,9 +95,6 @@ usage(int code)
     std::printf(
         "usage: specslice_run [options]\n"
         "  --workload NAME   benchmark to run (--list to enumerate)\n"
-        "  --trace-file FILE run the workload embedded in an sstr\n"
-        "                    trace (specslice_replay --emit) instead\n"
-        "                    of a named builder workload\n"
         "  --width 4|8       Table 1 machine width (default 4)\n"
         "  --insts N         measured instructions (default 300000)\n"
         "  --warmup N        warm-up instructions (default 100000)\n"
@@ -190,8 +185,6 @@ parseArgs(int argc, char **argv)
         };
         if (a == "--workload")
             o.workload = next();
-        else if (a == "--trace-file")
-            o.traceFile = next();
         else if (a == "--width")
             o.width = static_cast<unsigned>(parseNum(next()));
         else if (a == "--insts")
@@ -365,19 +358,15 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (o.traceFile.empty()) {
-        const std::vector<std::string> &all =
-            workloads::allWorkloadNames();
-        if (std::find(all.begin(), all.end(), o.workload) ==
-            all.end()) {
-            std::string valid;
-            for (const auto &n : all)
-                valid += (valid.empty() ? "" : " ") + n;
-            std::fprintf(stderr,
-                         "error: unknown workload '%s' (valid: %s)\n",
-                         o.workload.c_str(), valid.c_str());
-            return 2;
-        }
+    const std::vector<std::string> &all = workloads::allWorkloadNames();
+    if (std::find(all.begin(), all.end(), o.workload) == all.end()) {
+        std::string valid;
+        for (const auto &n : all)
+            valid += (valid.empty() ? "" : " ") + n;
+        std::fprintf(stderr,
+                     "error: unknown workload '%s' (valid: %s)\n",
+                     o.workload.c_str(), valid.c_str());
+        return 2;
     }
 
     // Injection spec: SS_INJECT from the environment plus --inject,
@@ -426,22 +415,10 @@ main(int argc, char **argv)
             (o.sampleStride ? o.sampleStride : per_region) +
         per_region;
 
-    sim::Workload wl;
-    if (!o.traceFile.empty()) {
-        std::string lerr;
-        std::optional<trace::LoadedTrace> loaded =
-            trace::loadTraceWorkload(o.traceFile, lerr);
-        if (!loaded) {
-            std::fprintf(stderr, "error: %s\n", lerr.c_str());
-            return 2;
-        }
-        wl = std::move(loaded->workload);
-    } else {
-        workloads::Params params;
-        params.scale = span * 2;
-        params.seed = o.seed;
-        wl = workloads::buildWorkload(o.workload, params);
-    }
+    workloads::Params params;
+    params.scale = span * 2;
+    params.seed = o.seed;
+    sim::Workload wl = workloads::buildWorkload(o.workload, params);
 
     if (o.disasm) {
         std::printf("%s", wl.program.disassemble().c_str());
@@ -457,7 +434,6 @@ main(int argc, char **argv)
 
     sim::Simulator machine(cfg);
     sim::RunOptions opts;
-    opts.traceFile = o.traceFile;
     opts.maxMainInstructions = o.insts;
     opts.warmupInstructions = o.warmup;
     opts.maxCycles = o.maxCycles;

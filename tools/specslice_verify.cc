@@ -301,15 +301,6 @@ planFor(const std::string &name, const Options &o)
     return it != o.injectWorkload.end() ? it->second : o.inject;
 }
 
-/** One config's digest section from a finished run. The counter set
- *  lives in sim::digestSection so specslice_replay --sim builds its
- *  trace-mode sections from the exact same fields. */
-check::Digest::Section
-sectionFrom(const std::string &config, const sim::RunResult &r)
-{
-    return sim::digestSection(config, r);
-}
-
 /** A live two-config run: the digest plus robustness telemetry. */
 struct LiveRun
 {
@@ -407,7 +398,7 @@ buildLiveRun(const std::string &name, const RunParams &p, bool check,
     live.digest.stride = p.stride;
 
     auto absorb = [&](const char *config, const sim::RunResult &r) {
-        live.digest.sections.push_back(sectionFrom(config, r));
+        live.digest.sections.push_back(sim::digestSection(config, r));
         live.worst = sim::worseOutcome(live.worst, r.outcome);
         if (r.checkDiverged && !live.diverged) {
             live.diverged = true;
